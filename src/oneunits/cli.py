@@ -45,8 +45,7 @@ def _parse_series(text: str, prime: int | None) -> TruncSeries:
         return series
     if prime is None:
         raise ValueError("a bare coefficient list needs -p")
-    return TruncSeries.from_ints(
-        Prime(prime), (int(tok) for tok in text.split(",")))
+    return TruncSeries(Prime(prime), [int(tok) for tok in text.split(",")])
 
 
 def _parse_exponent(text: str, modulus: Prime, digits: int) -> PadicApprox:
@@ -54,7 +53,11 @@ def _parse_exponent(text: str, modulus: Prime, digits: int) -> PadicApprox:
     if "," in text:
         return PadicApprox(modulus, tuple(int(tok) for tok in text.split(",")))
     if "/" in text:
-        return PadicApprox.from_fraction(modulus, Fraction(text), digits)
+        try:
+            value = Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"exponent {text} has denominator 0") from None
+        return PadicApprox.from_fraction(modulus, value, digits)
     return PadicApprox.from_integer(modulus, int(text), digits)
 
 
@@ -235,7 +238,7 @@ def _add_precision_arg(sub: argparse.ArgumentParser) -> None:
 def _add_series_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--series", required=True, metavar="S",
                      help="bare coefficient list c0,c1,... (needs -p) or "
-                          "full form p=..;N=..;coeffs=..")
+                          "full form p=..;N=..;coeffs=.., residues in [0, p)")
     _add_prime_arg(sub, required=False)
 
 

@@ -71,22 +71,16 @@ class InconsistentReport(OneUnitsError):
 
 
 class NotAnEndomorphism(OneUnitsError):
-    """Exponent recovery hit a coefficient pattern no 1-unit power produces.
+    """A one-unit is no power of 1+x.
 
-    ``stage`` records the recovery round whose support assertion failed,
-    when that is where the rejection happened.
+    ``stage`` is the least p-adic valuation v_p(n) over the n >= 1 where
+    u (1+x)^(-y) has a nonzero coefficient, y being the exponent read off
+    u: the round at which the staged p-th-root descent rejects u.
     """
 
-    def __init__(self, stage=None, detail=None):
+    def __init__(self, stage: int):
         self.stage = stage
-        self.detail = detail
-        if stage is not None:
-            message = f"not an endomorphism (stage {stage})"
-        elif detail is not None:
-            message = f"not an endomorphism ({detail})"
-        else:
-            message = "not an endomorphism"
-        super().__init__(message)
+        super().__init__(f"not an endomorphism (stage {stage})")
 
 
 class TooLargeToEnumerate(OneUnitsError):

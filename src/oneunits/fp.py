@@ -3,13 +3,16 @@
 Residues are plain integers in [0, p).  :class:`FpElement` ties a residue to
 its (validated) modulus so that mixed-modulus arithmetic fails loudly.  The
 binomial helpers work digit-by-digit in base p and never divide by p, which
-keeps them valid in characteristic p.
+keeps them valid in characteristic p; one Lucas kernel expands whole runs.
+The serialized forms of the package share one field parser.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+
+import numpy as np
 
 from .errors import DivisionByZero, ModulusMismatch
 
@@ -126,3 +129,55 @@ def lucas_binom(n: int, k: int, modulus: Prime) -> FpElement:
         k, kd = divmod(k, p)
         out = out * _binom_digit(nd, kd, p) % p
     return FpElement(out, modulus)
+
+
+def _pascal_row(a: int, length: int, p: int) -> list[int]:
+    """C(a, j) mod p for j < length <= p, a single digit a < p."""
+    out = [1] + [0] * (length - 1)
+    for j in range(1, min(length, a + 1)):
+        out[j] = out[j - 1] * (a - j + 1) * pow(j, -1, p) % p
+    return out
+
+
+def _pascal_column(b: int, length: int, p: int) -> list[int]:
+    """C(k, b) mod p for k < length <= p, a single digit b < p."""
+    out = [0] * length
+    for k in range(b, length):
+        out[k] = 1 if k == b else out[k - 1] * k * pow(k - b, -1, p) % p
+    return out
+
+
+def _lucas_kron(digit_vector, n: int, p: int) -> np.ndarray:
+    """The first n values of prod_i T_i[n_i] over the base-p digits n_i.
+
+    digit_vector(i, length) gives T_i[0], ..., T_i[length - 1]; the values
+    are the Kronecker product of these vectors, digit 0 innermost.  Vector
+    i is cut to min(p, ceil(n / p^i)) entries, so a large p never needs a
+    p-long vector; digits with p^i >= n contribute T_i[0] = 1.
+    """
+    out = np.ones(1, dtype=np.int64)
+    i, q = 0, 1
+    while q < n:
+        row = np.array(digit_vector(i, min(p, -(-n // q))), dtype=np.int64)
+        out = np.multiply.outer(row, out).ravel()   # kron of two vectors
+        out %= p
+        i, q = i + 1, q * p
+    return out[:n].copy()       # a view would keep up to 2n entries alive
+
+
+def _parse_fields(text: str, *keys: str) -> tuple:
+    """Split a serialized form "p=..;<key>=..;..." into its parts.
+
+    Returns the modulus, then the text of each further field in order.
+    Malformed text raises ValueError.
+    """
+    parts = text.strip().split(";")
+    keys = ("p",) + keys
+    if len(parts) != len(keys):
+        raise ValueError(
+            f"expected {len(keys)} ';'-separated fields, got {len(parts)}")
+    for part, key in zip(parts, keys):
+        if not part.startswith(key + "="):
+            raise ValueError(f"expected field {key!r}, got {part!r}")
+    p, *fields = (part.split("=", 1)[1] for part in parts)
+    return (Prime(int(p)), *fields)

@@ -20,7 +20,7 @@ from .errors import (
     PrecisionExhausted,
     WindowTooSmall,
 )
-from .fp import FpElement, Prime, _binom_digit
+from .fp import FpElement, Prime, _parse_fields, lucas_binom
 from .periodic import PeriodReport, find_period
 
 __all__ = ["PadicApprox", "IntegerVerdict"]
@@ -154,16 +154,10 @@ class PadicApprox:
         """
         if n < 0:
             raise ValueError("binom expects a nonnegative index")
-        p = self.modulus.p
-        if n >= p**self.precision:
+        if n >= self.modulus.p**self.precision:
             raise PrecisionExhausted(
                 f"{self.precision} digits determine C(y, n) only for n < p^{self.precision}")
-        out, i = 1, 0
-        while n and out:
-            n, d = divmod(n, p)
-            out = out * _binom_digit(self.digits[i], d, p) % p
-            i += 1
-        return FpElement(out, self.modulus)
+        return lucas_binom(self.value, n, self.modulus)
 
     # -- window decisions ------------------------------------------------------
 
@@ -228,18 +222,8 @@ class PadicApprox:
 
     @classmethod
     def parse(cls, text: str) -> "PadicApprox":
-        parts = text.strip().split(";")
-        if len(parts) != 3:
-            raise ValueError(f"expected 3 ';'-separated fields, got {len(parts)}")
-        fields = {}
-        for part, key in zip(parts, ("p", "K", "digits")):
-            prefix = key + "="
-            if not part.startswith(prefix):
-                raise ValueError(f"expected field {key!r}, got {part!r}")
-            fields[key] = part[len(prefix):]
-        modulus = Prime(int(fields["p"]))
-        precision = int(fields["K"])
-        digits = tuple(int(tok) for tok in fields["digits"].split(","))
+        modulus, k, body = _parse_fields(text, "K", "digits")
+        precision, digits = int(k), tuple(int(tok) for tok in body.split(","))
         if len(digits) != precision:
             raise ValueError(f"K={precision} but {len(digits)} digits given")
         return cls(modulus, digits)

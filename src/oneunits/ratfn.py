@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import Prime
+from .fp import Prime, _parse_fields
 from .periodic import PeriodReport
 from .series import TruncSeries
 
@@ -130,18 +130,8 @@ class RationalFn:
 
     @classmethod
     def parse(cls, text: str) -> "RationalFn":
-        parts = text.strip().split(";")
-        if len(parts) != 3:
-            raise ValueError(f"expected 3 ';'-separated fields, got {len(parts)}")
-        fields = {}
-        for part, key in zip(parts, ("p", "num", "den")):
-            prefix = key + "="
-            if not part.startswith(prefix):
-                raise ValueError(f"expected field {key!r}, got {part!r}")
-            fields[key] = part[len(prefix):]
-        modulus = Prime(int(fields["p"]))
-        num = tuple(int(tok) for tok in fields["num"].split(","))
-        den = tuple(int(tok) for tok in fields["den"].split(","))
+        modulus, *fields = _parse_fields(text, "num", "den")
+        num, den = (tuple(int(tok) for tok in f.split(",")) for f in fields)
         return cls(modulus, num, den)
 
 

@@ -27,7 +27,7 @@ from .errors import (
     PrecisionExhausted,
     ShapeMismatch,
 )
-from .fp import Prime, _binom_digit
+from .fp import Prime, _lucas_kron, _parse_fields, _pascal_column
 
 __all__ = ["TruncSeries", "BivTrunc", "outer_product", "subst_group_law"]
 
@@ -56,11 +56,15 @@ class TruncSeries:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.coeffs, dtype=np.int64)
-        if arr.ndim != 1 or len(arr) < 1:
-            raise ValueError("coefficient vector must be 1-d and nonempty")
         p = self.modulus.p
-        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= p):
+        try:
+            arr = np.ascontiguousarray(self.coeffs, dtype=np.int64)
+            if arr.ndim != 1 or len(arr) < 1:
+                raise ValueError("coefficient vector must be 1-d and nonempty")
+            residues = int(arr.min()) >= 0 and int(arr.max()) < p
+        except OverflowError:          # an integer past int64 is no residue
+            residues = False
+        if not residues:
             raise ValueError(f"coefficients must be residues in [0, {p})")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -189,30 +193,19 @@ class TruncSeries:
     def hasse_derivative(self, m: int) -> "TruncSeries":
         """The m-th Hasse derivative: x^n maps to C(n, m) x^(n-m).
 
-        Binomials come from base-p digit products, so no division by p ever
-        happens.  The result is only known modulo x^(N-m).
+        The binomials C(n, m) for all n come from one Lucas kernel over
+        the digits of m, so no division by p ever happens.  The result is
+        only known modulo x^(N-m).
         """
         if m < 0:
             raise ValueError("derivative order must be nonnegative")
-        n = self.precision
+        n, p = self.precision, self.modulus.p
         if m >= n:
             raise PrecisionExhausted(
                 f"order {m} exceeds what precision {n} supports")
-        if m == 0:
-            return self
-        p = self.modulus.p
-        out = np.zeros(n - m, dtype=np.int64)
-        for i in range(n - m):
-            c = int(self.coeffs[i + m])
-            if c == 0:
-                continue
-            top, bot, factor = i + m, m, 1
-            while (top or bot) and factor:
-                top, td = divmod(top, p)
-                bot, bd = divmod(bot, p)
-                factor = factor * _binom_digit(td, bd, p) % p
-            out[i] = c * factor % p
-        return TruncSeries(self.modulus, out)
+        weights = _lucas_kron(
+            lambda i, length: _pascal_column(m // p**i % p, length, p), n, p)
+        return TruncSeries(self.modulus, self.coeffs[m:] * weights[m:] % p)
 
     def frobenius(self) -> "TruncSeries":
         """Substitute x -> x^p (the p-th power map on 1-units)."""
@@ -253,22 +246,12 @@ class TruncSeries:
 
     @classmethod
     def parse(cls, text: str) -> "TruncSeries":
-        parts = text.strip().split(";")
-        if len(parts) != 3:
-            raise ValueError(f"expected 3 ';'-separated fields, got {len(parts)}")
-        fields = {}
-        for part, key in zip(parts, ("p", "N", "coeffs")):
-            prefix = key + "="
-            if not part.startswith(prefix):
-                raise ValueError(f"expected field {key!r}, got {part!r}")
-            fields[key] = part[len(prefix):]
-        modulus = Prime(int(fields["p"]))
-        precision = int(fields["N"])
-        coeffs = [int(tok) for tok in fields["coeffs"].split(",")]
+        modulus, n, body = _parse_fields(text, "N", "coeffs")
+        precision, coeffs = int(n), [int(tok) for tok in body.split(",")]
         if len(coeffs) != precision:
             raise ValueError(
                 f"N={precision} but {len(coeffs)} coefficients given")
-        return cls(modulus, np.array(coeffs, dtype=np.int64))
+        return cls(modulus, coeffs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,8 +3,9 @@
 A one-unit is a truncated series with constant term 1.  The powers of
 1 + x among them are exactly the series f(x) = (1+x)^y for a p-adic
 integer y, and three different characterizations of that set live here:
-expansion (:func:`pow_binomial`, :func:`pow_product`), digit-by-digit
-recovery with verification (:func:`recover_exponent`,
+expansion (:func:`pow_binomial`, :func:`pow_product`), recovery that
+reads digit i of y off the coefficient of x^(p^i) and verifies it by one
+re-expansion (:func:`recover_exponent`,
 :func:`is_endomorphism_via_theorem`), and the two-variable product
 comparison f(x)f(y) = f(x + y + xy) (:func:`is_endomorphism_bivariate`).
 On top of those sit automorphism inversion, the Hasse-derivative
@@ -24,12 +25,11 @@ import numpy as np
 from .errors import (
     InconsistentReport,
     NotAnEndomorphism,
-    NotAPthPower,
     PrecisionExhausted,
     TooLargeToEnumerate,
     WindowTooSmall,
 )
-from .fp import Prime
+from .fp import Prime, _lucas_kron, _pascal_row
 from .padic import IntegerVerdict, PadicApprox
 from .periodic import PeriodReport, find_period
 from .ratfn import RationalFn, from_pade, from_period
@@ -129,13 +129,15 @@ def pow_binomial(exponent: PadicApprox, precision: int) -> OneUnit:
     """(1+x)^y mod x^N, coefficient of x^n being the binomial C(y, n).
 
     Each binomial is a base-p digit product, so K digits of y settle
-    every n < p^K; p^K >= N is demanded up front.
+    every n < p^K; p^K >= N is demanded up front.  The whole expansion is
+    one Lucas kernel over the digit rows C(y_i, 0), C(y_i, 1), ...
     """
     _check_digit_window(exponent, precision)
-    out = np.zeros(precision, dtype=np.int64)
-    for n in range(precision):
-        out[n] = int(exponent.binom(n))
-    return OneUnit(TruncSeries(exponent.modulus, out))
+    p = exponent.modulus.p
+    coeffs = _lucas_kron(
+        lambda i, length: _pascal_row(exponent.digits[i], length, p),
+        precision, p)
+    return OneUnit(TruncSeries(exponent.modulus, coeffs))
 
 
 def pow_product(exponent: PadicApprox, precision: int) -> OneUnit:
@@ -161,35 +163,30 @@ def pow_product(exponent: PadicApprox, precision: int) -> OneUnit:
 
 
 def recover_exponent(u: OneUnit) -> PadicApprox:
-    """The digits of the y with u = (1+x)^y, read off one stage at a time.
+    """The y with u = (1+x)^y, its digits read off the coefficients.
 
-    Stage i strips the factor (1+x)^(digit i) and takes a p-th root,
-    which costs precision; the loop ends when no further digit is
-    determined, after exactly digits_for_precision(p, N) stages.  A
-    residue whose support refuses the p-th root certifies that u is no
-    power of 1+x, raising NotAnEndomorphism with the failing stage.
-
-    Success only means every stage passed.  The caller must still
-    verify the candidate by re-expansion (or rely on
-    :func:`is_endomorphism_via_theorem`, which does both).
+    By Lucas' theorem the coefficient of x^(p^i) in (1+x)^y is digit i
+    of y, so the digits with p^i < N are read off and the candidate is
+    re-expanded once.  When the expansion differs from u, u is no power
+    of 1+x and NotAnEndomorphism is raised with stage s, the least v_p(n)
+    over the n where u (1+x)^(-y) - 1 has a nonzero coefficient: the
+    round at which the staged p-th-root descent would reject u.
     """
     if u.precision < 2:
         raise PrecisionExhausted("precision 1 determines no exponent digits")
-    g = u.series
-    digits: list[int] = []
+    p, n = u.modulus.p, u.precision
+    y = PadicApprox(u.modulus, tuple(
+        u.coefficient(p**i) for i in range(digits_for_precision(u.modulus, n))))
+    expansion = pow_binomial(y, n).series
+    if expansion == u.series:
+        return y
+    residual = (u.series * expansion.invert()).coeffs
+    common = int(np.gcd.reduce(np.flatnonzero(residual[1:]) + 1))
     stage = 0
-    while g.precision >= 2:
-        d = g.coefficient(1)
-        digits.append(d)
-        if d:
-            stripped = TruncSeries.one_plus_x(g.modulus, g.precision)
-            g = g * stripped.pow_int(d).invert()
-        try:
-            g = g.pth_root()
-        except NotAPthPower as exc:
-            raise NotAnEndomorphism(stage=stage) from exc
+    while common % p == 0:                # v_p of the gcd is the least v_p
+        common //= p
         stage += 1
-    return PadicApprox(u.modulus, tuple(digits))
+    raise NotAnEndomorphism(stage)
 
 
 @dataclass(frozen=True)
@@ -216,11 +213,11 @@ def is_endomorphism_bivariate(u: OneUnit) -> BoxVerdict:
 
 @dataclass(frozen=True)
 class EndoVerdict:
-    """Outcome of the recover-and-verify test.
+    """Outcome of the read-off-and-verify test.
 
     exponent is the recovered y when re-expansion reproduces u at full
-    precision; otherwise reason says what failed, phrased so it can be
-    shown to a user as "not an endomorphism (<reason>)".
+    precision; otherwise reason names the failing stage, phrased so it
+    can be shown to a user as "not an endomorphism (<reason>)".
     """
 
     exponent: PadicApprox | None
@@ -231,17 +228,11 @@ class EndoVerdict:
 
 
 def is_endomorphism_via_theorem(u: OneUnit) -> EndoVerdict:
-    """Recover a candidate exponent, then verify it by re-expansion."""
+    """Recover the exponent by read-off, verified by one re-expansion."""
     try:
-        y = recover_exponent(u)
+        return EndoVerdict(recover_exponent(u))
     except NotAnEndomorphism as exc:
-        reason = f"stage {exc.stage}" if exc.stage is not None else str(exc)
-        return EndoVerdict(None, reason)
-    check = pow_binomial(y, u.precision)
-    diff = np.nonzero(check.series.coeffs != u.series.coeffs)[0]
-    if diff.size:
-        return EndoVerdict(None, f"coefficient mismatch at x^{int(diff[0])}")
-    return EndoVerdict(y)
+        return EndoVerdict(None, f"stage {exc.stage}")
 
 
 def hasse_identity_check(u: OneUnit, m: int) -> bool:
@@ -255,10 +246,11 @@ def hasse_identity_check(u: OneUnit, m: int) -> bool:
     if m >= u.precision:
         raise PrecisionExhausted(
             f"order {m} exceeds what precision {u.precision} supports")
-    reduced = u.series.truncate(u.precision - m)
-    lhs = reduced.scaled(u.coefficient(m))
-    shift = TruncSeries.one_plus_x(u.modulus, u.precision - m).pow_int(m)
-    rhs = u.series.hasse_derivative(m) * shift
+    rest = u.precision - m
+    lhs = u.series.truncate(rest).scaled(u.coefficient(m))
+    m_digits = PadicApprox.from_integer(
+        u.modulus, m, digits_for_precision(u.modulus, rest))
+    rhs = u.series.hasse_derivative(m) * pow_binomial(m_digits, rest).series
     return lhs == rhs
 
 
@@ -269,10 +261,7 @@ def is_automorphism(u: OneUnit) -> bool:
     remaining distinction is simply whether y is a unit, i.e. whether
     the coefficient of x is nonzero.
     """
-    verdict = is_endomorphism_via_theorem(u)
-    if not verdict:
-        raise NotAnEndomorphism(detail=verdict.reason)
-    return verdict.exponent.digits[0] != 0
+    return recover_exponent(u).digits[0] != 0
 
 
 def compose_unit(f: OneUnit, g: OneUnit) -> OneUnit:
@@ -293,10 +282,7 @@ def invert_automorphism(u: OneUnit) -> OneUnit:
     way around returns 1 + x.  NotAnEndomorphism or NonUnitExponent is
     raised when u fails the respective precondition.
     """
-    verdict = is_endomorphism_via_theorem(u)
-    if not verdict:
-        raise NotAnEndomorphism(detail=verdict.reason)
-    return pow_binomial(verdict.exponent.unit_inverse(), u.precision)
+    return pow_binomial(recover_exponent(u).unit_inverse(), u.precision)
 
 
 def detect_coeff_period(u: OneUnit, max_preperiod: int | None = None,
@@ -438,6 +424,8 @@ def enumerate_endomorphisms(modulus: Prime, precision: int) -> list[OneUnit]:
     Walks all p^(N-1) candidate tails, so the search space is capped at
     2^20 and TooLargeToEnumerate is raised beyond that.
     """
+    if precision < 1:
+        raise ValueError("precision must be at least 1")
     p, n = modulus.p, precision
     count = p ** (n - 1)
     if count > 1 << 20:

@@ -27,6 +27,29 @@ def naive_mul(a, b, p, n):
     return out
 
 
+def staged_descent(coeffs, p: int):
+    """The paper's staged recovery of y from u = (1+x)^y, on plain lists.
+
+    Stage i reads digit d off the coefficient of x, divides by (1+x)^d
+    and takes a p-th root, keeping every p-th coefficient; a nonzero
+    coefficient off the multiples of p shows that u is no power of 1+x.
+    Returns ("digits", (d_0, d_1, ...)) after the last stage that still
+    determines a digit, or ("stage", i) for the stage that rejected u.
+    """
+    g = list(coeffs)
+    digits = []
+    while len(g) >= 2:
+        d = g[1]
+        digits.append(d)
+        for _ in range(d):
+            for n in range(1, len(g)):       # h(1+x) = g: h_n = g_n - h_(n-1)
+                g[n] = (g[n] - g[n - 1]) % p
+        if any(g[n] for n in range(len(g)) if n % p):
+            return ("stage", len(digits) - 1)
+        g = g[::p]
+    return ("digits", tuple(digits))
+
+
 def fraction_digits(value: Fraction, p: int, k: int) -> tuple:
     """First k base-p digits of a p-adic rational, by long division.
 

@@ -49,6 +49,14 @@ def test_pow_json(capsys):
                                "coeffs": [1, 1, 0, 0, 1, 1, 0, 0]}
 
 
+def test_zero_denominator_exponent_exits_2(capsys):
+    for verb in (["pow", "-N", "8"], ["digits", "-K", "8"],
+                 ["rationality", "-N", "64"]):
+        code, out, err = run(capsys, *verb, "-p", "2", "--y", "1/0")
+        assert (code, out) == (2, "")
+        assert err == "invalid input: exponent 1/0 has denominator 0\n"
+
+
 def test_pow_is_deterministic(capsys):
     a = run(capsys, "pow", "-p", "5", "-N", "30", "--y=-7/4")
     b = run(capsys, "pow", "-p", "5", "-N", "30", "--y=-7/4")
@@ -83,6 +91,15 @@ def test_recover_prime_disagreement(capsys):
                        "--series", "p=2;N=4;coeffs=1,1,0,0")
     assert code == 2
     assert err.startswith("invalid input:")
+
+
+def test_series_residues_must_lie_below_p(capsys):
+    """A bare list follows the serialized form's rule: no reduction mod p."""
+    for series in ("1,5,7", "p=3;N=3;coeffs=1,5,7", "1,2," + "9" * 30):
+        code, out, err = run(capsys, "check-endo", "-p", "3",
+                             "--series", series)
+        assert (code, out) == (2, "")
+        assert err == "invalid input: coefficients must be residues in [0, 3)\n"
 
 
 def test_recover_bare_list_needs_prime(capsys):
@@ -264,6 +281,13 @@ def test_enumerate_small(capsys):
                    "p=2;N=4;coeffs=1,0,1,0\n"
                    "p=2;N=4;coeffs=1,1,0,0\n"
                    "p=2;N=4;coeffs=1,1,1,1\n")
+
+
+def test_enumerate_wants_positive_precision(capsys):
+    for n in ("0", "-2"):
+        code, out, err = run(capsys, "enumerate", "-p", "2", "-N", n)
+        assert (code, out) == (2, "")
+        assert err == "invalid input: precision must be at least 1\n"
 
 
 def test_enumerate_refuses_large(capsys):

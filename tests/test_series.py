@@ -10,7 +10,7 @@ from oneunits import (ModulusMismatch, NonUnitConstantTerm,
                       NonzeroConstantInner, NotAPthPower, Prime,
                       PrecisionExhausted, ShapeMismatch, TruncSeries,
                       lucas_binom, outer_product, subst_group_law)
-from oracles import naive_mul
+from oracles import naive_mul, pascal_binom
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -37,6 +37,8 @@ def test_raw_constructor_wants_residues():
         TruncSeries(P3, np.array([1, 3]))
     with pytest.raises(ValueError):
         TruncSeries(P3, np.array([1, -1]))
+    with pytest.raises(ValueError, match="residues"):
+        TruncSeries(P3, [1, 2**70])
 
 
 def test_rejects_empty():
@@ -161,6 +163,17 @@ def test_hasse_order_bounds():
         f.hasse_derivative(3)
     with pytest.raises(ValueError):
         f.hasse_derivative(-1)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 2**31 - 1]), st.integers(1, 40),
+       st.integers(0, 10**6), st.data())
+def test_hasse_matches_pascal(p, n, seed, data):
+    """The Lucas kernel over the digits of m gives C(n, m) at every n."""
+    f = rand_series(random.Random(seed), p, n)
+    m = data.draw(st.integers(0, n - 1), label="order")
+    c = f.coeffs.tolist()
+    assert f.hasse_derivative(m).coeffs.tolist() == [
+        pascal_binom(i + m, m, p) * c[i + m] % p for i in range(n - m)]
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(2, 14), st.integers(0, 10**6),

@@ -16,7 +16,7 @@ from oneunits import (NonUnitExponent, NotAnEndomorphism, InconsistentReport,
                       is_endomorphism_via_theorem, pow_binomial, pow_product,
                       rationality_report, recover_exponent)
 from oneunits.units import _coeff_view
-from oracles import brute_period, order_of_x_mod
+from oracles import brute_period, order_of_x_mod, pascal_binom, staged_descent
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -86,6 +86,16 @@ def test_pow_ignores_digits_past_the_window():
     assert pow_binomial(exp_int(2, 5, 10), 8) == pow_binomial(exp_int(2, 5, 3), 8)
 
 
+@given(st.sampled_from([2, 3, 5, 7, 2**31 - 1]), st.integers(1, 40),
+       st.integers(0, 60), st.integers(0, 2))
+def test_pow_binomial_matches_pascal(p, n, y, extra):
+    """The Lucas kernel gives C(y, n) at every n, one digit row per p^i < N."""
+    P = Prime(p)
+    got = pow_binomial(exp_int(p, y, digits_for_precision(P, n) + extra), n)
+    assert got.series.coeffs.tolist() == [pascal_binom(y, k, p)
+                                          for k in range(n)]
+
+
 def test_pow_product_frozen():
     assert pow_product(exp_int(2, 5, 3), 8) == unit(2, [1, 1, 0, 0, 1, 1, 0, 0])
     assert pow_product(exp_int(3, -2, 4), 9) == pow_binomial(exp_int(3, -2, 4), 9)
@@ -131,6 +141,83 @@ def test_recover_stage_failures():
     with pytest.raises(NotAnEndomorphism) as exc:
         recover_exponent(unit(2, [1, 0, 0, 0, 1, 0, 1, 0]))
     assert exc.value.stage == 1
+
+
+def _check_against_descent(p, coeffs):
+    outcome, value = staged_descent(coeffs, p)
+    u = unit(p, coeffs)
+    if outcome == "digits":
+        assert recover_exponent(u).digits == value
+        assert pow_binomial(recover_exponent(u), len(coeffs)) == u
+    else:
+        with pytest.raises(NotAnEndomorphism) as exc:
+            recover_exponent(u)
+        assert exc.value.stage == value
+        assert is_endomorphism_via_theorem(u).reason == f"stage {value}"
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(2, 60), st.data())
+def test_recover_agrees_with_staged_descent(p, n, data):
+    """Read-off recovery gives the descent's digits, or its failing stage.
+
+    The one-units are powers, powers with one coefficient changed, and
+    arbitrary one-units, at precisions that are not powers of p.
+    """
+    P = Prime(p)
+    if p ** digits_for_precision(P, n) == n:
+        n += 1
+    digits = data.draw(st.lists(st.integers(0, p - 1), min_size=n,
+                                max_size=n), label="digits")
+    coeffs = pow_binomial(PadicApprox(P, tuple(digits)), n).series.coeffs
+    coeffs = coeffs.tolist()
+    kind = data.draw(st.sampled_from(["power", "perturbed", "arbitrary"]))
+    if kind == "perturbed":
+        coeffs[data.draw(st.integers(1, n - 1))] = data.draw(
+            st.integers(0, p - 1))
+    elif kind == "arbitrary":
+        coeffs = [1] + data.draw(st.lists(st.integers(0, p - 1),
+                                          min_size=n - 1, max_size=n - 1))
+    _check_against_descent(p, coeffs)
+
+
+DESCENT_GRID = ((2, 3), (2, 6), (2, 10), (3, 2), (3, 5), (3, 7), (5, 3),
+                (5, 4), (7, 3))
+
+
+def test_recover_agrees_with_staged_descent_exhaustively():
+    for p, n in DESCENT_GRID:
+        for u in _all_units(Prime(p), n):
+            _check_against_descent(p, u.series.coeffs.tolist())
+
+
+def _valuation(n, p):
+    return 0 if n % p else 1 + _valuation(n // p, p)
+
+
+def test_wrong_stage_rules_fail_the_descent_check():
+    """Mutation check: only the least v_p over the support is the stage.
+
+    The support is where u (1+x)^(-y) differs from 1, y read off u.  The
+    v_p of its first or of its last index disagrees with the descent
+    somewhere on the exhaustive grid, so recovery built on either rule
+    would fail the comparison above.
+    """
+    wrong = {"first": 0, "last": 0}
+    for p, n in DESCENT_GRID:
+        P = Prime(p)
+        k = digits_for_precision(P, n)
+        for u in _all_units(P, n):
+            outcome, stage = staged_descent(u.series.coeffs.tolist(), p)
+            if outcome == "digits":
+                continue
+            y = PadicApprox(P, tuple(u.coefficient(p**i) for i in range(k)))
+            residual = u.series * pow_binomial(y, n).series.invert()
+            valuations = [_valuation(i, p) for i, c in
+                          enumerate(residual.coeffs.tolist()) if i and c]
+            assert min(valuations) == stage
+            wrong["first"] += valuations[0] != stage
+            wrong["last"] += valuations[-1] != stage
+    assert wrong["first"] and wrong["last"], wrong
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(2, 32), st.integers(0, 10**6))
@@ -198,7 +285,7 @@ def test_box_is_truncation_scale_evidence():
     """At N not a power of p the box can reject a truncated power.
 
     1 + 2x is (1+x)^2 cut to two terms over F_3, yet the xy entry of the
-    box needs the x^2 coefficient the truncation discarded.  The staged
+    box needs the x^2 coefficient the truncation discarded.  The read-off
     recovery still accepts it, so the two checks only agree when N is a
     power of p.
     """
