@@ -9,7 +9,11 @@ return results at the reduced precision those operations support.
 
 :class:`BivTrunc` is the two-variable analogue truncated independently in
 each variable: an N-by-N coefficient box with entry (i, j) holding the
-coefficient of x^i y^j.
+coefficient of x^i y^j.  :func:`outer_product` and :func:`subst_group_law`
+build the two sides of the box identity f(x)f(y) = f(x + y + xy) in
+O(N^2) memory and O(N^3) time.  They are the reference that the box
+check of ``units.is_endomorphism_bivariate``, which never builds a box,
+is tested against.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ expansion (:func:`pow_binomial`, :func:`pow_product`), recovery that
 reads digit i of y off the coefficient of x^(p^i) and verifies it by one
 re-expansion (:func:`recover_exponent`,
 :func:`is_endomorphism_via_theorem`), and the two-variable product
-comparison f(x)f(y) = f(x + y + xy) (:func:`is_endomorphism_bivariate`).
+comparison f(x)f(y) = f(x + y + xy) (:func:`is_endomorphism_bivariate`),
+decided by the same read-off and located row by row through Hasse
+derivatives.
 On top of those sit automorphism inversion, the Hasse-derivative
 identity, and the rationality probes that compare what the digits of y
 say with what the coefficient stream of f shows.
@@ -15,7 +17,6 @@ say with what the coefficient stream of f shows.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -33,7 +34,7 @@ from .fp import Prime, _lucas_kron, _pascal_row
 from .padic import IntegerVerdict, PadicApprox
 from .periodic import PeriodReport, find_period
 from .ratfn import RationalFn, from_pade, from_period
-from .series import TruncSeries, outer_product, subst_group_law
+from .series import TruncSeries, _convolve_mod
 
 __all__ = [
     "OneUnit",
@@ -162,6 +163,14 @@ def pow_product(exponent: PadicApprox, precision: int) -> OneUnit:
     return OneUnit(acc)
 
 
+def _read_off(u: OneUnit) -> tuple[PadicApprox, TruncSeries]:
+    """Digits i of y with p^i < N, read off at x^(p^i), and (1+x)^y mod x^N."""
+    p, n = u.modulus.p, u.precision
+    y = PadicApprox(u.modulus, tuple(
+        u.coefficient(p**i) for i in range(digits_for_precision(u.modulus, n))))
+    return y, pow_binomial(y, n).series
+
+
 def recover_exponent(u: OneUnit) -> PadicApprox:
     """The y with u = (1+x)^y, its digits read off the coefficients.
 
@@ -174,12 +183,10 @@ def recover_exponent(u: OneUnit) -> PadicApprox:
     """
     if u.precision < 2:
         raise PrecisionExhausted("precision 1 determines no exponent digits")
-    p, n = u.modulus.p, u.precision
-    y = PadicApprox(u.modulus, tuple(
-        u.coefficient(p**i) for i in range(digits_for_precision(u.modulus, n))))
-    expansion = pow_binomial(y, n).series
+    y, expansion = _read_off(u)
     if expansion == u.series:
         return y
+    p = u.modulus.p
     residual = (u.series * expansion.invert()).coeffs
     common = int(np.gcd.reduce(np.flatnonzero(residual[1:]) + 1))
     stage = 0
@@ -194,8 +201,11 @@ class BoxVerdict:
     """Outcome of the two-variable product comparison.
 
     mismatch is the first box position (row-major) where f(x)f(y) and
-    f(x + y + xy) disagree, or None when the full box matches; the
-    verdict is truthy exactly in the latter case.
+    f(x + y + xy) disagree, or None when the full N-by-N box matches;
+    the verdict is truthy exactly in the latter case.  The box matches
+    exactly when f = (1+x)^m with m < N, which is read off the digits,
+    and row i of f(x + y + xy) is (1+y)^i D^i f(y), so a mismatch is
+    found row by row; the box itself is never built.
     """
 
     mismatch: tuple[int, int] | None
@@ -205,10 +215,34 @@ class BoxVerdict:
 
 
 def is_endomorphism_bivariate(u: OneUnit) -> BoxVerdict:
-    """Compare f(x)f(y) with f(x + y + xy) on the full N-by-N box."""
-    lhs = outer_product(u.series, u.series)
-    rhs = subst_group_law(u.series)
-    return BoxVerdict(lhs.first_mismatch(rhs))
+    """Compare f(x)f(y) with f(x + y + xy) on the full N-by-N box.
+
+    Write f = sum b_m (1+x)^m over m < N.  The products
+    (1+x)^m (1+y)^m' with m, m' < N are a basis of the box, and in it the
+    difference has coefficients b_m b_m' - [m = m'] b_m, so the box
+    matches exactly when b is a unit vector e_m.  That is the case
+    exactly when u is a power of 1+x by read-off and the integer
+    m = sum d_i p^i of its read-off digits is below N; at N = 1 the box
+    always matches.  Otherwise the first mismatch is found row by row:
+    f(y + x(1+y)) = sum_i x^i (1+y)^i D^i f(y) exactly, since f is a
+    polynomial of degree below N, and row i of f(x)f(y) is a_i f(y).
+    """
+    n = u.precision
+    if n == 1:
+        return BoxVerdict(None)
+    y, expansion = _read_off(u)
+    if expansion == u.series and y.value < n:
+        return BoxVerdict(None)
+    f, modulus, p = u.series, u.modulus, u.modulus.p
+    for i in range(n):               # (1+y)^i has degree i, D^i f below N - i
+        shift = pow_binomial(PadicApprox.from_integer(
+            modulus, i, digits_for_precision(modulus, i + 1)), i + 1)
+        row = _convolve_mod(shift.series.coeffs, f.hasse_derivative(i).coeffs,
+                            n, p)
+        differs = np.flatnonzero(row != f.coeffs * int(f.coeffs[i]) % p)
+        if differs.size:
+            return BoxVerdict((i, int(differs[0])))
+    raise AssertionError("a box that fails the read-off has a mismatching row")
 
 
 @dataclass(frozen=True)
@@ -421,8 +455,10 @@ def rationality_report(exponent: PadicApprox, precision: int,
 def enumerate_endomorphisms(modulus: Prime, precision: int) -> list[OneUnit]:
     """Every one-unit passing the full box check, in lex coefficient order.
 
-    Walks all p^(N-1) candidate tails, so the search space is capped at
-    2^20 and TooLargeToEnumerate is raised beyond that.
+    These are the N powers (1+x)^m with m < N (see
+    :func:`is_endomorphism_bivariate`).  The census is defined over all
+    p^(N-1) candidate tails and is still refused, with
+    TooLargeToEnumerate, beyond 2^20 of them.
     """
     if precision < 1:
         raise ValueError("precision must be at least 1")
@@ -431,9 +467,7 @@ def enumerate_endomorphisms(modulus: Prime, precision: int) -> list[OneUnit]:
     if count > 1 << 20:
         raise TooLargeToEnumerate(
             f"{count} candidates at p={p}, N={n}; refusing beyond 2^20")
-    found = []
-    for tail in itertools.product(range(p), repeat=n - 1):
-        u = OneUnit(TruncSeries(modulus, np.array((1,) + tail, dtype=np.int64)))
-        if is_endomorphism_bivariate(u):
-            found.append(u)
-    return found
+    k = digits_for_precision(modulus, n)
+    powers = (pow_binomial(PadicApprox.from_integer(modulus, m, k), n)
+              for m in range(n))
+    return sorted(powers, key=lambda u: u.series.coeffs.tolist())

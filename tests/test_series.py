@@ -1,5 +1,6 @@
 """Truncated power series over F_p."""
 
+import math
 import random
 
 import numpy as np
@@ -278,6 +279,22 @@ def test_group_law_box_of_one_plus_x():
 def test_group_law_box_of_square():
     f = TruncSeries.one_plus_x(P2, 3).pow_int(2)
     assert subst_group_law(f) == outer_product(f, f)
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 130),
+       st.integers(0, 10**6))
+def test_group_law_rows_are_shifted_hasse_derivatives(p, n, seed):
+    """Row i of f(x + y + xy) is (1+y)^i D^i f(y), at every N.
+
+    f(y + x(1+y)) expands by Taylor's formula in Hasse derivatives, and
+    the expansion is exact because f is a polynomial of degree below N.
+    """
+    f = rand_series(random.Random(seed), p, n)
+    box = subst_group_law(f).table
+    for i in range(n):
+        shift = [math.comb(i, j) % p for j in range(i + 1)]
+        row = np.convolve(shift, f.hasse_derivative(i).coeffs)[:n] % p
+        assert box[i].tolist() == row.tolist()
 
 
 def test_first_mismatch_row_major():

@@ -14,7 +14,8 @@ from oneunits import (NonUnitExponent, NotAnEndomorphism, InconsistentReport,
                       from_period, hasse_identity_check, invert_automorphism,
                       is_automorphism, is_endomorphism_bivariate,
                       is_endomorphism_via_theorem, pow_binomial, pow_product,
-                      rationality_report, recover_exponent)
+                      outer_product, rationality_report, recover_exponent,
+                      subst_group_law)
 from oneunits.units import _coeff_view
 from oracles import brute_period, order_of_x_mod, pascal_binom, staged_descent
 
@@ -156,6 +157,29 @@ def _check_against_descent(p, coeffs):
         assert is_endomorphism_via_theorem(u).reason == f"stage {value}"
 
 
+def _draw_coeffs(data, p, n):
+    """A power of 1+x, (1+x)^m with m <= N, a power with one coefficient
+    changed, or an arbitrary one-unit, as a coefficient list."""
+    P = Prime(p)
+    kind = data.draw(st.sampled_from(
+        ["power", "small power", "perturbed", "arbitrary"]), label="kind")
+    if kind == "small power":
+        exponent = exp_int(p, data.draw(st.integers(0, n), label="m"),
+                           digits_for_precision(P, n))
+    else:
+        exponent = PadicApprox(P, tuple(data.draw(
+            st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+            label="digits")))
+    coeffs = pow_binomial(exponent, n).series.coeffs.tolist()
+    if kind == "perturbed" and n > 1:
+        coeffs[data.draw(st.integers(1, n - 1))] = data.draw(
+            st.integers(0, p - 1))
+    elif kind == "arbitrary":
+        coeffs = [1] + data.draw(st.lists(st.integers(0, p - 1),
+                                          min_size=n - 1, max_size=n - 1))
+    return coeffs
+
+
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(2, 60), st.data())
 def test_recover_agrees_with_staged_descent(p, n, data):
     """Read-off recovery gives the descent's digits, or its failing stage.
@@ -163,21 +187,9 @@ def test_recover_agrees_with_staged_descent(p, n, data):
     The one-units are powers, powers with one coefficient changed, and
     arbitrary one-units, at precisions that are not powers of p.
     """
-    P = Prime(p)
-    if p ** digits_for_precision(P, n) == n:
+    if p ** digits_for_precision(Prime(p), n) == n:
         n += 1
-    digits = data.draw(st.lists(st.integers(0, p - 1), min_size=n,
-                                max_size=n), label="digits")
-    coeffs = pow_binomial(PadicApprox(P, tuple(digits)), n).series.coeffs
-    coeffs = coeffs.tolist()
-    kind = data.draw(st.sampled_from(["power", "perturbed", "arbitrary"]))
-    if kind == "perturbed":
-        coeffs[data.draw(st.integers(1, n - 1))] = data.draw(
-            st.integers(0, p - 1))
-    elif kind == "arbitrary":
-        coeffs = [1] + data.draw(st.lists(st.integers(0, p - 1),
-                                          min_size=n - 1, max_size=n - 1))
-    _check_against_descent(p, coeffs)
+    _check_against_descent(p, _draw_coeffs(data, p, n))
 
 
 DESCENT_GRID = ((2, 3), (2, 6), (2, 10), (3, 2), (3, 5), (3, 7), (5, 3),
@@ -257,11 +269,57 @@ def test_theorem_verdict_carries_reason():
     assert v.reason == "stage 1"
 
 
+def _box_oracle(u):
+    """First mismatch of the built N-by-N boxes of f(x)f(y), f(x + y + xy)."""
+    f = u.series
+    return outer_product(f, f).first_mismatch(subst_group_law(f))
+
+
+def _passes_by_read_off(u):
+    """Whether u is (1+x)^m by read-off, m = sum d_i p^i below N."""
+    if u.precision == 1:
+        return True
+    try:
+        return recover_exponent(u).value < u.precision
+    except NotAnEndomorphism:
+        return False
+
+
+SMALL_OR_LARGE_PRIME = st.one_of(
+    st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 130)),
+    st.tuples(st.sampled_from([65537, 2**31 - 1]), st.integers(1, 32)))
+
+
+@given(SMALL_OR_LARGE_PRIME, st.data())
+def test_box_verdict_matches_the_built_box(pn, data):
+    """Read-off verdict and Hasse-row mismatch equal the built box's."""
+    p, n = pn
+    u = unit(p, _draw_coeffs(data, p, n))
+    assert is_endomorphism_bivariate(u).mismatch == _box_oracle(u)
+
+
+@given(SMALL_OR_LARGE_PRIME, st.data())
+def test_built_box_passes_exactly_below_n(pn, data):
+    """The built box matches iff u = (1+x)^m by read-off with m < N."""
+    p, n = pn
+    u = unit(p, _draw_coeffs(data, p, n))
+    assert (_box_oracle(u) is None) == _passes_by_read_off(u)
+
+
 def test_box_and_theorem_agree_exhaustively():
-    for P, n in ((P2, 4), (P2, 8), (P3, 3)):
+    """On every one-unit the box names the built box's first mismatch.
+
+    Where N is a power of p it also agrees with the read-off recovery.
+    """
+    for P, n in ((P2, 1), (P2, 4), (P2, 5), (P2, 6), (P2, 8), (P3, 1),
+                 (P3, 3), (P3, 4)):
+        prime_power = n > 1 and P.p ** digits_for_precision(P, n) == n
         for u in _all_units(P, n):
-            assert bool(is_endomorphism_bivariate(u)) == \
-                bool(is_endomorphism_via_theorem(u))
+            verdict = is_endomorphism_bivariate(u)
+            assert verdict.mismatch == _box_oracle(u)
+            assert bool(verdict) == _passes_by_read_off(u)
+            if prime_power:
+                assert bool(verdict) == bool(is_endomorphism_via_theorem(u))
 
 
 def _all_units(P, n):
@@ -506,6 +564,16 @@ def test_enumerate_counts_are_p_to_the_k():
     assert len(enumerate_endomorphisms(P2, 8)) == 8
     assert len(enumerate_endomorphisms(P3, 9)) == 9
     assert len(enumerate_endomorphisms(P5, 5)) == 5
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (2, 5), (2, 6), (3, 2), (3, 4),
+                                  (5, 3)])
+def test_enumerate_matches_box_filter_off_prime_powers(p, n):
+    """Off N = p^k the census is the N powers (1+x)^m, m < N, not p^K."""
+    P = Prime(p)
+    brute = [u for u in _all_units(P, n) if _box_oracle(u) is None]
+    assert enumerate_endomorphisms(P, n) == brute
+    assert len(brute) == n
 
 
 def test_enumerate_refuses_large_spaces():
