@@ -21,6 +21,7 @@ from .ratfn import RationalFn, from_period
 from .series import TruncSeries
 from .units import (
     OneUnit,
+    _default_window,
     digits_for_precision,
     enumerate_endomorphisms,
     hasse_identity_check,
@@ -145,9 +146,8 @@ def _cmd_invert_auto(args: argparse.Namespace) -> int:
 
 def _cmd_detect_period(args: argparse.Namespace) -> int:
     series = _parse_series(args.series, args.prime)
-    n = series.precision
-    w = args.max_preperiod if args.max_preperiod is not None else n // 8
-    r = args.max_period if args.max_period is not None else max(1, n // 8)
+    w, r = _default_window(series.precision, args.max_preperiod,
+                           args.max_period)
     report = find_period(series.coeffs, w, r)
     if report is None:
         return _emit(args,

@@ -40,16 +40,11 @@ def _convolve_mod(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
     """First n coefficients of the product, reduced mod p."""
     if (p - 1) * (p - 1) * min(len(a), len(b)) < 2**62:
         return np.convolve(a, b)[:n] % p
-    # big-int fallback, only reachable for very large moduli
-    out = [0] * n
-    for i, ai in enumerate(int(v) for v in a):
-        if ai == 0 or i >= n:
-            continue
-        for j, bj in enumerate(int(v) for v in b):
-            if i + j >= n:
-                break
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return np.array(out, dtype=np.int64)
+    # products past int64 (p near 2^31): one exact convolution of Python ints
+    prod = np.convolve(a[:n].astype(object), b[:n].astype(object))[:n] % p
+    out = np.zeros(n, dtype=np.int64)
+    out[:len(prod)] = prod
+    return out
 
 
 @dataclass(frozen=True, eq=False)

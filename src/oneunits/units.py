@@ -323,10 +323,10 @@ def detect_coeff_period(u: OneUnit, max_preperiod: int | None = None,
                         max_period: int | None = None) -> PeriodReport | None:
     """Scan the coefficient stream of u for an eventual period.
 
-    Defaults bound both the preperiod and the period by an eighth of
-    the precision, which always leaves room for the two full repeats
-    the detector demands; callers widen the window when they can
-    afford the cost.
+    Defaults bound the preperiod by N // 8 and the period by
+    max(1, N // 8) at precision N, which leaves room for the two full
+    repeats the detector demands when N >= 2 (N = 1 raises
+    WindowTooSmall); callers widen the window when they can afford it.
     """
     w, r = _default_window(u.precision, max_preperiod, max_period)
     return find_period(u.series.coeffs, w, r)

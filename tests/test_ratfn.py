@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from oneunits import (PeriodReport, Prime, RationalFn, TruncSeries,
                       find_period, from_period)
@@ -19,6 +20,15 @@ def test_validation():
         RationalFn(P2, (1, 1), (1, 1))      # not coprime
     with pytest.raises(ValueError):
         RationalFn(P3, (1, 3), (1,))        # coefficient out of range
+
+
+@pytest.mark.parametrize("p", [3, 2**31 - 1])
+def test_common_factor_rejected_in_either_degree_order(p):
+    one_minus_x = (1, p - 1)
+    with pytest.raises(ValueError, match="coprime"):     # over 1 - x^3
+        RationalFn(Prime(p), one_minus_x, (1, 0, 0, p - 1))
+    with pytest.raises(ValueError, match="coprime"):     # (1 - x)(1 + 2x) over
+        RationalFn(Prime(p), (1, 1, p - 2), one_minus_x)
 
 
 def test_trailing_zeros_trimmed():
@@ -41,6 +51,7 @@ def test_expand_geometric():
 def test_expand_polynomial():
     f = RationalFn(P3, (1, 0, 2), (1,))
     assert f.expand(5) == TruncSeries.from_ints(P3, [1, 0, 2, 0, 0])
+    assert f.expand(2) == TruncSeries.from_ints(P3, [1, 0])
 
 
 def test_equivalent_cross_multiplies():
@@ -48,6 +59,7 @@ def test_equivalent_cross_multiplies():
     assert a.equivalent(RationalFn(P3, (1, 1), (1, 2)))
     assert not a.equivalent(RationalFn(P3, (1,), (1,)))
     assert not a.equivalent(RationalFn(P3, (1, 2), (1, 1)))
+    assert not a.equivalent(RationalFn(Prime(5), (1, 1), (1, 2)))
 
 
 def test_serialize_round_trip():
@@ -83,6 +95,19 @@ def test_from_period_nonunit_constant():
     fn = from_period(P2, [0, 1, 0, 1, 0, 1], PeriodReport(0, 2))
     assert fn == RationalFn(P2, (0, 1), (1, 0, 1))
     assert fn.expand(6) == TruncSeries.from_ints(P2, [0, 1, 0, 1, 0, 1])
+
+
+@given(st.sampled_from([2, 3, 5, 2**31 - 1]), st.integers(0, 6),
+       st.integers(1, 6), st.data())
+def test_from_period_reads_head_then_repeat(p, w, r, data):
+    """Any stream, short ones too, gives head(x) + x^w rep(x) / (1 - x^r)."""
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), max_size=w + 3 * r))
+    fn = from_period(Prime(p), coeffs, PeriodReport(w, r))
+    assert len(fn.denominator) - 1 <= r
+    assert len(fn.numerator) - 1 < w + r
+    padded = coeffs[:w + r] + [0] * (w + r - len(coeffs))
+    want = padded + padded[w:] * 2
+    assert fn.expand(w + 3 * r) == TruncSeries.from_ints(Prime(p), want)
 
 
 def rand_reduced(rng, p):

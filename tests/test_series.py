@@ -101,7 +101,7 @@ def test_mixed_modulus_rejected():
 
 def test_mul_matches_schoolbook():
     rng = random.Random(7)
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 65537, 2**31 - 1):
         for _ in range(25):
             n = rng.randrange(1, 14)
             f, g = rand_series(rng, p, n), rand_series(rng, p, n)
