@@ -26,7 +26,7 @@ from .fp import FpElement, Prime, binom_digit, lucas_binom
 from .padic import IntegerVerdict, PadicApprox
 from .periodic import PeriodReport, find_period
 from .ratfn import RationalFn, from_period
-from .series import BivTrunc, TruncSeries, outer_product, subst_group_law
+from .series import TruncSeries
 from .units import (
     BoxVerdict,
     EndoVerdict,
@@ -51,7 +51,6 @@ from .units import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BivTrunc",
     "BoxVerdict",
     "DenominatorNotCoprime",
     "DivisionByZero",
@@ -91,11 +90,9 @@ __all__ = [
     "is_endomorphism_bivariate",
     "is_endomorphism_via_theorem",
     "lucas_binom",
-    "outer_product",
     "pow_binomial",
     "pow_product",
     "rationality_report",
     "recover_exponent",
-    "subst_group_law",
     "__version__",
 ]

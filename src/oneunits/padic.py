@@ -86,6 +86,8 @@ class PadicApprox:
         if frac.denominator % modulus.p == 0:
             raise DenominatorNotCoprime(
                 f"denominator {frac.denominator} is divisible by p={modulus.p}")
+        if precision < 1:
+            raise ValueError("precision must be at least 1")
         mod = modulus.p**precision
         residue = frac.numerator * pow(frac.denominator, -1, mod) % mod
         return cls.from_value(modulus, residue, precision)

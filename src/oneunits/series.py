@@ -6,14 +6,6 @@ length is the precision N.  Precision is explicit and sticky: binary
 operations demand equal precision (lower one explicitly with
 :meth:`TruncSeries.truncate`), while the Hasse derivative and the p-th root
 return results at the reduced precision those operations support.
-
-:class:`BivTrunc` is the two-variable analogue truncated independently in
-each variable: an N-by-N coefficient box with entry (i, j) holding the
-coefficient of x^i y^j.  :func:`outer_product` and :func:`subst_group_law`
-build the two sides of the box identity f(x)f(y) = f(x + y + xy) in
-O(N^2) memory and O(N^3) time.  They are the reference that the box
-check of ``units.is_endomorphism_bivariate``, which never builds a box,
-is tested against.
 """
 
 from __future__ import annotations
@@ -33,7 +25,7 @@ from .errors import (
 )
 from .fp import Prime, _lucas_kron, _parse_fields, _pascal_column
 
-__all__ = ["TruncSeries", "BivTrunc", "outer_product", "subst_group_law"]
+__all__ = ["TruncSeries"]
 
 
 def _convolve_mod(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
@@ -251,69 +243,3 @@ class TruncSeries:
             raise ValueError(
                 f"N={precision} but {len(coeffs)} coefficients given")
         return cls(modulus, coeffs)
-
-
-@dataclass(frozen=True, eq=False)
-class BivTrunc:
-    """A two-variable series truncated to the N-by-N coefficient box."""
-
-    modulus: Prime
-    table: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.table, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise ValueError("table must be a square 2-d array")
-        arr.setflags(write=False)
-        object.__setattr__(self, "table", arr)
-
-    @property
-    def precision(self) -> int:
-        return self.table.shape[0]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BivTrunc):
-            return NotImplemented
-        return (self.modulus == other.modulus
-                and self.table.shape == other.table.shape
-                and bool(np.array_equal(self.table, other.table)))
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.table.tobytes()))
-
-    def first_mismatch(self, other: "BivTrunc") -> tuple[int, int] | None:
-        """Lexicographically first (i, j) where the boxes differ, else None."""
-        if self.modulus != other.modulus:
-            raise ModulusMismatch(
-                f"p={self.modulus.p} vs p={other.modulus.p}")
-        if self.table.shape != other.table.shape:
-            raise ShapeMismatch(
-                f"box {self.table.shape} vs {other.table.shape}")
-        diff = np.argwhere(self.table != other.table)
-        if diff.size == 0:
-            return None
-        return int(diff[0][0]), int(diff[0][1])
-
-
-def outer_product(f: TruncSeries, g: TruncSeries) -> BivTrunc:
-    """The box of f(x) * g(y)."""
-    f._check_compatible(g)
-    return BivTrunc(f.modulus, np.outer(f.coeffs, g.coeffs) % f.modulus.p)
-
-
-def subst_group_law(f: TruncSeries) -> BivTrunc:
-    """Substitute s = x + y + xy into f, truncated to the N-by-N box.
-
-    1 + s factors as (1+x)(1+y), so for a 1-unit f this is f evaluated on
-    the product of the two one-variable arguments.
-    """
-    n, p = f.precision, f.modulus.p
-    acc = np.zeros((n, n), dtype=np.int64)
-    for a in f.coeffs[::-1]:
-        nxt = np.zeros_like(acc)
-        nxt[1:, :] += acc[:-1, :]
-        nxt[:, 1:] += acc[:, :-1]
-        nxt[1:, 1:] += acc[:-1, :-1]
-        nxt[0, 0] += int(a)
-        acc = nxt % p
-    return BivTrunc(f.modulus, acc)

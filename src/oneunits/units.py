@@ -3,16 +3,17 @@
 A one-unit is a truncated series with constant term 1.  The powers of
 1 + x among them are exactly the series f(x) = (1+x)^y for a p-adic
 integer y, and three different characterizations of that set live here:
-expansion (:func:`pow_binomial`, :func:`pow_product`), recovery that
-reads digit i of y off the coefficient of x^(p^i) and verifies it by one
-re-expansion (:func:`recover_exponent`,
-:func:`is_endomorphism_via_theorem`), and the two-variable product
-comparison f(x)f(y) = f(x + y + xy) (:func:`is_endomorphism_bivariate`),
-decided by the same read-off and located row by row through Hasse
-derivatives.
-On top of those sit automorphism inversion, the Hasse-derivative
-identity, and the rationality probes that compare what the digits of y
-say with what the coefficient stream of f shows.
+expansion (:func:`pow_binomial` by Lucas' theorem, :func:`pow_product`
+as a Frobenius product of digit powers), recovery that reads digit i of
+y off the coefficient of x^(p^i) and verifies it by one re-expansion
+(:func:`recover_exponent`, :func:`is_endomorphism_via_theorem`), and the
+two-variable product comparison f(x)f(y) = f(x + y + xy)
+(:func:`is_endomorphism_bivariate`), decided by the same read-off and
+located row by row through Hasse derivatives.
+On top of those sit composition (a power f = (1+x)^y acts on g as g^y,
+by the same Frobenius product), automorphism inversion, the
+Hasse-derivative identity, and the rationality probes that compare what
+the digits of y say with what the coefficient stream of f shows.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
 from .fp import Prime, _lucas_kron, _pascal_row
 from .padic import IntegerVerdict, PadicApprox
 from .periodic import PeriodReport, find_period
-from .ratfn import RationalFn, from_pade, from_period
+from .ratfn import RationalFn, _padded, from_pade, from_period
 from .series import TruncSeries, _convolve_mod
 
 __all__ = [
@@ -141,33 +142,62 @@ def pow_binomial(exponent: PadicApprox, precision: int) -> OneUnit:
     return OneUnit(TruncSeries(exponent.modulus, coeffs))
 
 
+def _frobenius_power(base: TruncSeries, digits: Iterable[int]) -> TruncSeries:
+    """prod_i base(x^q)^(d_i) mod x^N, q = p^i: base^y for y = sum d_i p^i.
+
+    Over F_p, base(x)^q = base(x^q), and factor i only matters below
+    x^ceil(N/q), so h = base^(d_i) is taken there, and at no more than
+    its d_i deg(base) + 1 terms.  h(x^q) is multiplied in by shifted adds
+    over the nonzero terms of h or by one convolution per residue class
+    mod q, whichever is fewer, so no dense length-N product with a sparse
+    factor is formed.
+    """
+    n, p = base.precision, base.modulus.p
+    degree = int(np.flatnonzero(base.coeffs)[-1])
+    acc = np.zeros(n, dtype=np.int64)
+    acc[0] = 1
+    q = 1
+    for d in digits:
+        if q >= n:
+            break
+        if d:
+            h = base.truncate(min(-(-n // q), d * degree + 1)).pow_int(d).coeffs
+            terms = np.flatnonzero(h)
+            out = np.zeros(n, dtype=np.int64)
+            if len(terms) <= q:
+                for k in terms.tolist():
+                    s = k * q
+                    out[s:] = (out[s:] + int(h[k]) * acc[:n - s]) % p
+            else:
+                for r in range(q):
+                    column = acc[r::q]
+                    out[r::q] = _convolve_mod(column, h, len(column), p)
+            acc = out
+        q *= p
+    return TruncSeries(base.modulus, acc)
+
+
 def pow_product(exponent: PadicApprox, precision: int) -> OneUnit:
     """(1+x)^y mod x^N as the product of (1 + x^(p^i))^(digit i of y).
 
     Factors with p^i >= N are trivial mod x^N, so the product is finite.
-    Agrees with :func:`pow_binomial` on every input.
+    It is the Frobenius product of 1 + x, independent of the Lucas kernel
+    behind :func:`pow_binomial`, and agrees with it on every input.
     """
     _check_digit_window(exponent, precision)
-    modulus = exponent.modulus
-    acc = TruncSeries.constant(modulus, precision)
-    q = 1
-    for d in exponent.digits:
-        if q >= precision:
-            break
-        if d:
-            factor = np.zeros(precision, dtype=np.int64)
-            factor[0] = 1
-            factor[q] = 1
-            acc = acc * TruncSeries(modulus, factor).pow_int(d)
-        q *= modulus.p
-    return OneUnit(acc)
+    one_plus_x = TruncSeries.one_plus_x(exponent.modulus, precision)
+    return OneUnit(_frobenius_power(one_plus_x, exponent.digits))
 
 
 def _read_off(u: OneUnit) -> tuple[PadicApprox, TruncSeries]:
-    """Digits i of y with p^i < N, read off at x^(p^i), and (1+x)^y mod x^N."""
+    """Digits i of y with p^i < N, read off at x^(p^i), and (1+x)^y mod x^N.
+
+    At N = 1 no coefficient is read: y is the digit 0 and the series [1].
+    """
     p, n = u.modulus.p, u.precision
     y = PadicApprox(u.modulus, tuple(
-        u.coefficient(p**i) for i in range(digits_for_precision(u.modulus, n))))
+        u.coefficient(p**i) if p**i < n else 0
+        for i in range(digits_for_precision(u.modulus, n))))
     return y, pow_binomial(y, n).series
 
 
@@ -228,8 +258,6 @@ def is_endomorphism_bivariate(u: OneUnit) -> BoxVerdict:
     polynomial of degree below N, and row i of f(x)f(y) is a_i f(y).
     """
     n = u.precision
-    if n == 1:
-        return BoxVerdict(None)
     y, expansion = _read_off(u)
     if expansion == u.series and y.value < n:
         return BoxVerdict(None)
@@ -301,9 +329,15 @@ def is_automorphism(u: OneUnit) -> bool:
 def compose_unit(f: OneUnit, g: OneUnit) -> OneUnit:
     """Substitute g - 1 into f.
 
+    When f = (1+x)^y by read-off, f(g - 1) = g^y, the Frobenius product
+    of g's digit powers; any other f is substituted by Horner's rule.
     For powers of 1+x this multiplies exponents:
     compose_unit((1+x)^a, (1+x)^b) = (1+x)^(ab).
     """
+    f.series._check_compatible(g.series)
+    y, expansion = _read_off(f)
+    if expansion == f.series:
+        return OneUnit(_frobenius_power(g.series, y.digits))
     inner = np.array(g.series.coeffs, dtype=np.int64)
     inner[0] = 0
     return OneUnit(f.series.compose(TruncSeries(g.modulus, inner)))
@@ -342,15 +376,23 @@ def _default_window(precision: int, max_preperiod: int | None,
 def coeffs_to_rational(u: OneUnit, report: PeriodReport) -> RationalFn:
     """The rational function matching u's coefficients under the report.
 
-    The reconstruction is re-expanded to full precision and compared
-    against u; a report that does not actually describe the stream
-    raises InconsistentReport.
+    The reconstruction P/Q is checked against all N coefficients of u by
+    one product, u Q = P mod x^N; a report that does not actually
+    describe the stream raises InconsistentReport.
     """
     fn = from_period(u.modulus, u.series.coeffs, report)
-    if fn.expand(u.precision) != u.series:
+    if not _expands_to(fn, u.series):
         raise InconsistentReport(
             f"report {report} does not re-expand to the stream")
     return fn
+
+
+def _expands_to(fn: RationalFn, series: TruncSeries) -> bool:
+    """Whether P/Q expands to series: P = series * Q mod x^N, as Q(0) = 1."""
+    n, p = series.precision, series.modulus.p
+    den = np.array(fn.denominator, dtype=np.int64)
+    return bool(np.array_equal(_convolve_mod(series.coeffs, den, n, p),
+                               _padded(fn.numerator, n)))
 
 
 @dataclass(frozen=True)
@@ -382,7 +424,9 @@ def _period_of(den: tuple[int, ...], p: int, bound: int) -> int | None:
     is searched up to bound; None beyond it.
     """
     e = len(den) - 1
-    if den == tuple(math.comb(e, k) % p for k in range(e + 1)):
+    # compared as lists: a tuple built from a generator on every call
+    # raised the peak RSS of long runs by a few MB (CPython 3.11)
+    if list(den) == [math.comb(e, k) % p for k in range(e + 1)]:
         q = 1
         while q < e:
             q *= p
@@ -416,7 +460,7 @@ def _coeff_view(u: OneUnit, max_preperiod: int | None,
     if fn is None:
         return None
     preperiod = max(0, len(fn.numerator) - len(fn.denominator) + 1)
-    if preperiod > w or fn.expand(n) != u.series:
+    if preperiod > w or not _expands_to(fn, u.series):
         return None
     period = _period_of(fn.denominator, u.modulus.p, r)
     return None if period is None else (PeriodReport(preperiod, period), fn)

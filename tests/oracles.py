@@ -2,10 +2,17 @@
 
 Everything here is deliberately naive: Pascal's triangle instead of digit
 products, schoolbook convolution instead of numpy, long division for digit
-streams.  Slow but obviously correct.
+streams, square-and-multiply over full-length series instead of Frobenius
+products, and the built N-by-N box instead of its read-off.  Slow but
+obviously correct.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
+
+from oneunits import ModulusMismatch, Prime, ShapeMismatch, TruncSeries
 
 
 def pascal_binom(n: int, k: int, p: int) -> int:
@@ -113,3 +120,100 @@ def brute_period(symbols, max_preperiod: int, max_period: int):
             if all(seq[i] == seq[i + r] for i in range(w, n - r)):
                 return (w, r)
     return None
+
+
+def squaring_pow_product(exponent, precision: int) -> TruncSeries:
+    """(1+x)^y mod x^N as the product of full-length (1 + x^(p^i))^(d_i).
+
+    Each factor is raised by square-and-multiply at precision N, with no
+    Frobenius shortcut; factors with p^i >= N are trivial and skipped.
+    """
+    modulus = exponent.modulus
+    acc = TruncSeries.constant(modulus, precision)
+    q = 1
+    for d in exponent.digits:
+        if q >= precision:
+            break
+        if d:
+            factor = np.zeros(precision, dtype=np.int64)
+            factor[0] = 1
+            factor[q] = 1
+            acc = acc * TruncSeries(modulus, factor).pow_int(d)
+        q *= modulus.p
+    return acc
+
+
+# -- the two-variable box ----------------------------------------------------
+#
+# A BivTrunc is a two-variable series truncated independently in each
+# variable: an N-by-N coefficient box with entry (i, j) holding the
+# coefficient of x^i y^j.  outer_product and subst_group_law build the two
+# sides of the box identity f(x)f(y) = f(x + y + xy) in O(N^2) memory and
+# O(N^3) time; the box check, which never builds a box, is tested against
+# them.
+
+
+@dataclass(frozen=True, eq=False)
+class BivTrunc:
+    """A two-variable series truncated to the N-by-N coefficient box."""
+
+    modulus: Prime
+    table: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = np.ascontiguousarray(self.table, dtype=np.int64)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+            raise ValueError("table must be a square 2-d array")
+        arr.setflags(write=False)
+        object.__setattr__(self, "table", arr)
+
+    @property
+    def precision(self) -> int:
+        return self.table.shape[0]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BivTrunc):
+            return NotImplemented
+        return (self.modulus == other.modulus
+                and self.table.shape == other.table.shape
+                and bool(np.array_equal(self.table, other.table)))
+
+    def __hash__(self) -> int:
+        return hash((self.modulus, self.table.tobytes()))
+
+    def first_mismatch(self, other: "BivTrunc") -> tuple[int, int] | None:
+        """Lexicographically first (i, j) where the boxes differ, else None."""
+        if self.modulus != other.modulus:
+            raise ModulusMismatch(
+                f"p={self.modulus.p} vs p={other.modulus.p}")
+        if self.table.shape != other.table.shape:
+            raise ShapeMismatch(
+                f"box {self.table.shape} vs {other.table.shape}")
+        diff = np.argwhere(self.table != other.table)
+        if diff.size == 0:
+            return None
+        return int(diff[0][0]), int(diff[0][1])
+
+
+def outer_product(f: TruncSeries, g: TruncSeries) -> BivTrunc:
+    """The box of f(x) * g(y)."""
+    f._check_compatible(g)
+    return BivTrunc(f.modulus, np.outer(f.coeffs, g.coeffs) % f.modulus.p)
+
+
+def subst_group_law(f: TruncSeries) -> BivTrunc:
+    """Substitute s = x + y + xy into f, truncated to the N-by-N box.
+
+    1 + s factors as (1+x)(1+y), so for a 1-unit f this is f evaluated on
+    the product of the two one-variable arguments.
+    """
+    n, p = f.precision, f.modulus.p
+    acc = np.zeros((n, n), dtype=np.int64)
+    for a in f.coeffs[::-1]:
+        nxt = np.zeros_like(acc)
+        nxt[1:, :] += acc[:-1, :]
+        nxt[:, 1:] += acc[:, :-1]
+        nxt[1:, 1:] += acc[:-1, :-1]
+        nxt[0, 0] += int(a)
+        acc = nxt % p
+    return BivTrunc(f.modulus, acc)

@@ -1,10 +1,17 @@
 """Command-line behavior: text output, JSON mode, exit codes."""
 
+import contextlib
+import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+
+import oneunits
 from oneunits.cli import main
 
 
@@ -328,7 +335,74 @@ def test_console_script_smoke():
     argv = [shutil.which("oneunits") or ""]
     if not argv[0]:
         argv = [sys.executable, "-m", "oneunits.cli"]
+    # the child imports the package under test, installed or not
+    source = str(Path(oneunits.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(argv + ["pow", "--p", "2", "--prec", "8", "--y", "5"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout == "p=2;N=8;coeffs=1,1,0,0,1,1,0,0\n"
+
+
+def test_negative_digit_count_exits_2(capsys):
+    for y in ("5", "1/2"):
+        code, out, err = run(capsys, "digits", "-p", "3", "-K", "-1", "--y", y)
+        assert (code, out) == (2, "")
+        assert err == "invalid input: precision must be at least 1\n"
+
+
+
+# -- any argv keeps the exit contract -------------------------------------------
+
+# Every number stays small, so no fragment can ask for a huge series or
+# digit window; the big primes only meet precisions up to 64.
+NUMBERS = ["0", "1", "2", "3", "5", "8", "9", "-1", "-7", "64", "x", "",
+           "2.5", "1e3", "0x10"]
+PRIMES = ["2", "3", "5", "7", "65537", "2147483647", "0", "1", "4", "-3",
+          "2147483648", "q"]
+EXPONENTS = ["5", "-1", "0", "1/3", "-2/5", "1/0", "0/7", "1/2", "3/6",
+             "1,0,1", "1,,0", "2,1", ",", "a/b", "3/", "", "9" * 30]
+SERIES = ["1,1,0,0,1,1,0,0", "1,0,1,1", "1", "0,1", "1,5,7", "", "1,x",
+          "1,-1", "p=2;N=4;coeffs=1,1,0,0", "p=2;N=3;coeffs=1,1",
+          "p=4;N=1;coeffs=1", "p=2;N=2;coeffs=1,1;extra=1", "p=2",
+          "N=2;coeffs=1,1", "p=3;N=2;coeffs=1,99999999999999999999",
+          "p=2;N=0;coeffs=", "p=2;N=x;coeffs=1"]
+WINDOW = {"--max-preperiod": NUMBERS, "--max-period": NUMBERS}
+SERIES_ARGS = {"--series": SERIES, "-p": PRIMES}
+VERBS = {
+    "pow": {"-p": PRIMES, "-N": NUMBERS, "--y": EXPONENTS,
+            "--method": ["binomial", "product", "box"]},
+    "recover": SERIES_ARGS,
+    "check-endo": {**SERIES_ARGS, "--method": ["theorem", "box", "x"]},
+    "hasse": {**SERIES_ARGS, "-m": NUMBERS},
+    "invert-auto": SERIES_ARGS,
+    "detect-period": {**SERIES_ARGS, **WINDOW},
+    "digits": {"-p": PRIMES, "-K": NUMBERS, "--y": EXPONENTS, **WINDOW},
+    "rationality": {"-p": PRIMES, "-N": NUMBERS, "--y": EXPONENTS,
+                    "--exp-digits": NUMBERS, **WINDOW},
+    "enumerate": {"-p": PRIMES, "-N": NUMBERS},
+}
+STRAYS = ["--json", "--bogus", "-N", "7", "--y=-1/7", "--series", "-p=3",
+          "--", "pow"]
+
+
+@st.composite
+def argvs(draw):
+    """A verb, most of its options with valid or garbled values, and strays."""
+    verb = draw(st.sampled_from(sorted(VERBS) + ["", "bogus"]))
+    argv = [verb]
+    for flag, values in VERBS.get(verb, VERBS["pow"]).items():
+        if draw(st.integers(0, 4)):
+            argv += [flag, draw(st.sampled_from(values))]
+    return argv + draw(st.lists(st.sampled_from(STRAYS), max_size=2))
+
+
+@settings(max_examples=300)
+@given(argvs())
+def test_any_argv_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -6,18 +6,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oneunits import (NonUnitExponent, NotAnEndomorphism, InconsistentReport,
-                      OneUnit, PadicApprox, PeriodReport, PrecisionExhausted,
-                      Prime, RationalFn, TooLargeToEnumerate, WindowTooSmall,
+from oneunits import (ModulusMismatch, NonUnitExponent, NotAnEndomorphism,
+                      InconsistentReport, OneUnit, PadicApprox, PeriodReport,
+                      PrecisionExhausted, Prime, RationalFn, ShapeMismatch,
+                      TooLargeToEnumerate, TruncSeries, WindowTooSmall,
                       coeffs_to_rational, compose_unit, detect_coeff_period,
                       digits_for_precision, enumerate_endomorphisms,
                       from_period, hasse_identity_check, invert_automorphism,
                       is_automorphism, is_endomorphism_bivariate,
                       is_endomorphism_via_theorem, pow_binomial, pow_product,
-                      outer_product, rationality_report, recover_exponent,
-                      subst_group_law)
-from oneunits.units import _coeff_view
-from oracles import brute_period, order_of_x_mod, pascal_binom, staged_descent
+                      rationality_report, recover_exponent)
+from oneunits.units import _coeff_view, _read_off
+from oracles import (brute_period, order_of_x_mod, outer_product, pascal_binom,
+                     squaring_pow_product, staged_descent, subst_group_law)
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -36,6 +37,16 @@ def rand_unit(rng, p, n):
 
 def rand_exponent(rng, p, k):
     return PadicApprox(Prime(p), tuple(rng.randrange(p) for _ in range(k)))
+
+
+SMALL_OR_LARGE_PRIME = st.one_of(
+    st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 130)),
+    st.tuples(st.sampled_from([65537, 2**31 - 1]), st.integers(1, 32)))
+
+
+def _draw_exponent(data, p, k):
+    return PadicApprox(Prime(p), tuple(data.draw(
+        st.lists(st.integers(0, p - 1), min_size=k, max_size=k))))
 
 
 # -- basics -------------------------------------------------------------------
@@ -108,6 +119,18 @@ def test_pow_product_matches_binomial(p, n, seed):
     P = Prime(p)
     y = rand_exponent(rng, p, digits_for_precision(P, n))
     assert pow_product(y, n) == pow_binomial(y, n)
+
+
+@given(SMALL_OR_LARGE_PRIME, st.data())
+def test_pow_product_matches_squaring_and_lucas(pn, data):
+    """The Frobenius product equals full-length square-and-multiply and
+    the Lucas expansion, with digits to spare past p^i >= N."""
+    p, n = pn
+    k = digits_for_precision(Prime(p), n) + data.draw(st.integers(0, 2))
+    y = _draw_exponent(data, p, k)
+    got = pow_product(y, n)
+    assert got.series == squaring_pow_product(y, n)
+    assert got == pow_binomial(y, n)
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(2, 24), st.integers(0, 10**6))
@@ -285,11 +308,6 @@ def _passes_by_read_off(u):
         return False
 
 
-SMALL_OR_LARGE_PRIME = st.one_of(
-    st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 130)),
-    st.tuples(st.sampled_from([65537, 2**31 - 1]), st.integers(1, 32)))
-
-
 @given(SMALL_OR_LARGE_PRIME, st.data())
 def test_box_verdict_matches_the_built_box(pn, data):
     """Read-off verdict and Hasse-row mismatch equal the built box's."""
@@ -388,6 +406,44 @@ def test_compose_frozen():
     assert compose_unit(cube, cube) == unit(2, [1, 1, 0, 0, 0, 0, 0, 0])
 
 
+@given(SMALL_OR_LARGE_PRIME, st.data())
+def test_compose_unit_matches_horner(pn, data):
+    """Powers f go through the Frobenius product of g, others through
+    Horner; both equal Horner's f(g - 1), N = 1 included."""
+    p, n = pn
+    f = unit(p, _draw_coeffs(data, p, n))
+    g = unit(p, _draw_coeffs(data, p, n))
+    inner = g.series - TruncSeries.constant(g.modulus, n)
+    assert compose_unit(f, g).series == f.series.compose(inner)
+
+
+@given(SMALL_OR_LARGE_PRIME, st.data())
+def test_compose_multiplies_exponents(pn, data):
+    p, n = pn
+    k = digits_for_precision(Prime(p), n)
+    a, b = _draw_exponent(data, p, k), _draw_exponent(data, p, k)
+    assert compose_unit(pow_binomial(a, n), pow_binomial(b, n)) == \
+        pow_binomial(a * b, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_read_off_is_total_at_precision_one(p):
+    one = unit(p, [1])
+    assert _read_off(one) == (exp_int(p, 0, 1), one.series)
+    assert compose_unit(one, one) == one
+    assert is_endomorphism_bivariate(one)
+    with pytest.raises(PrecisionExhausted, match="precision 1 determines"):
+        recover_exponent(one)
+
+
+def test_compose_unit_checks_compatibility_first():
+    power = pow_binomial(exp_int(3, 2, 2), 4)
+    with pytest.raises(ShapeMismatch, match="precision 4 vs 3"):
+        compose_unit(power, power.truncate(3))
+    with pytest.raises(ModulusMismatch, match="p=3 vs p=5"):
+        compose_unit(power, pow_binomial(exp_int(5, 2, 1), 4))
+
+
 def test_invert_automorphism_frozen():
     u = pow_binomial(exp_int(2, 5, 3), 8)
     assert invert_automorphism(u) == u  # 5 * 5 = 25 = 1 mod 8
@@ -434,6 +490,14 @@ def test_coeffs_to_rational_frozen():
     u = pow_binomial(exp_int(2, 5, 5), 32)
     fn = coeffs_to_rational(u, PeriodReport(6, 1))
     assert fn == RationalFn(P2, (1, 1, 0, 0, 1, 1), (1,))
+
+
+def test_coeffs_to_rational_report_longer_than_stream():
+    """With w + r > N, P may reach past x^N; only P mod x^N is compared."""
+    u = unit(2, [1, 0, 1, 1])
+    fn = coeffs_to_rational(u, PeriodReport(3, 3))
+    assert fn == RationalFn(P2, (1, 0, 1, 0, 0, 1), (1, 0, 0, 1))
+    assert fn.expand(4) == u.series
 
 
 def test_coeffs_to_rational_rejects_wrong_report():
