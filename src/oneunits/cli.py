@@ -2,7 +2,9 @@
 
 Every verb prints a stable line-oriented text form, or one JSON object
 with --json.  Exit status is 0 for any computed verdict (including
-negative ones), 1 for domain errors, 2 for malformed input.
+negative ones), 1 for domain errors, 2 for malformed input.  A precision
+N above MAX_PRECISION or a digit count K above MAX_DIGITS is a domain
+error, refused before anything of that size is built.
 """
 
 from __future__ import annotations
@@ -87,6 +89,25 @@ def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> int:
 
 
 _GUARD_DIGITS = 4  # parse-time headroom beyond the minimum p^K >= N
+
+# Size budgets, checked before any digit tuple or coefficient array is
+# built: N (-N/--prec) counts coefficients, K (-K, --exp-digits) digits.
+MAX_PRECISION = 1 << 20
+MAX_DIGITS = 1 << 12
+
+
+class OverBudget(OneUnitsError):
+    """A requested size exceeds the CLI's budget for it."""
+
+
+def _check_budgets(args: argparse.Namespace) -> None:
+    for name, label, ceiling in (("precision", "N", MAX_PRECISION),
+                                 ("digits", "K", MAX_DIGITS),
+                                 ("exp_digits", "K", MAX_DIGITS)):
+        value = getattr(args, name, None)
+        if value is not None and value > ceiling:
+            raise OverBudget(
+                f"{label}={value} exceeds the budget {label} <= {ceiling}")
 
 
 def _cmd_pow(args: argparse.Namespace) -> int:
@@ -341,6 +362,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_budgets(args)
         return args.func(args)
     except OneUnitsError as exc:
         print(exc, file=sys.stderr)

@@ -9,7 +9,10 @@ y off the coefficient of x^(p^i) and verifies it by one re-expansion
 (:func:`recover_exponent`, :func:`is_endomorphism_via_theorem`), and the
 two-variable product comparison f(x)f(y) = f(x + y + xy)
 (:func:`is_endomorphism_bivariate`), decided by the same read-off and
-located row by row through Hasse derivatives.
+located row by row through Hasse derivatives.  A non-power is rejected
+by read-off too: its residual u (1+x)^(-y) comes from the same Lucas
+kernel on the digits of -y, since (1+x)^(-y) inverts (1+x)^y mod x^N
+once p^K >= N.
 On top of those sit composition (a power f = (1+x)^y acts on g as g^y,
 by the same Frobenius product), automorphism inversion, the
 Hasse-derivative identity, and the rationality probes that compare what
@@ -209,7 +212,10 @@ def recover_exponent(u: OneUnit) -> PadicApprox:
     re-expanded once.  When the expansion differs from u, u is no power
     of 1+x and NotAnEndomorphism is raised with stage s, the least v_p(n)
     over the n where u (1+x)^(-y) - 1 has a nonzero coefficient: the
-    round at which the staged p-th-root descent would reject u.
+    round at which the staged p-th-root descent would reject u.  The
+    residual is read off too: (1+x)^(-y) is the Lucas kernel on the K
+    digits of -y, exact mod x^N because p^K >= N, so no series is
+    inverted.
     """
     if u.precision < 2:
         raise PrecisionExhausted("precision 1 determines no exponent digits")
@@ -217,7 +223,7 @@ def recover_exponent(u: OneUnit) -> PadicApprox:
     if expansion == u.series:
         return y
     p = u.modulus.p
-    residual = (u.series * expansion.invert()).coeffs
+    residual = (u.series * pow_binomial(-y, u.precision).series).coeffs
     common = int(np.gcd.reduce(np.flatnonzero(residual[1:]) + 1))
     stage = 0
     while common % p == 0:                # v_p of the gcd is the least v_p
@@ -235,13 +241,27 @@ class BoxVerdict:
     the verdict is truthy exactly in the latter case.  The box matches
     exactly when f = (1+x)^m with m < N, which is read off the digits,
     and row i of f(x + y + xy) is (1+y)^i D^i f(y), so a mismatch is
-    found row by row; the box itself is never built.
+    found row by row; the box itself is never built.  The scan starts at
+    row 1: row 0 compares f with a_0 f = f and always matches.
     """
 
     mismatch: tuple[int, int] | None
 
     def __bool__(self) -> bool:
         return self.mismatch is None
+
+
+def _hasse_row(f: TruncSeries, m: int, length: int) -> np.ndarray:
+    """(1+x)^m D^m f mod x^length, for m < N and length <= N.
+
+    The binomials C(m, j) of the shift come straight from the Lucas
+    kernel over the digits of m, cut at degree m.
+    """
+    p = f.modulus.p
+    shift = _lucas_kron(lambda i, size: _pascal_row(m // p**i % p, size, p),
+                        min(length, m + 1), p)
+    return _convolve_mod(shift, f.hasse_derivative(m).coeffs[:length],
+                         length, p)
 
 
 def is_endomorphism_bivariate(u: OneUnit) -> BoxVerdict:
@@ -261,13 +281,10 @@ def is_endomorphism_bivariate(u: OneUnit) -> BoxVerdict:
     y, expansion = _read_off(u)
     if expansion == u.series and y.value < n:
         return BoxVerdict(None)
-    f, modulus, p = u.series, u.modulus, u.modulus.p
-    for i in range(n):               # (1+y)^i has degree i, D^i f below N - i
-        shift = pow_binomial(PadicApprox.from_integer(
-            modulus, i, digits_for_precision(modulus, i + 1)), i + 1)
-        row = _convolve_mod(shift.series.coeffs, f.hasse_derivative(i).coeffs,
-                            n, p)
-        differs = np.flatnonzero(row != f.coeffs * int(f.coeffs[i]) % p)
+    f, p = u.series, u.modulus.p
+    for i in range(1, n):            # row 0 is f = a_0 f
+        differs = np.flatnonzero(
+            _hasse_row(f, i, n) != f.coeffs * int(f.coeffs[i]) % p)
         if differs.size:
             return BoxVerdict((i, int(differs[0])))
     raise AssertionError("a box that fails the read-off has a mismatching row")
@@ -308,12 +325,9 @@ def hasse_identity_check(u: OneUnit, m: int) -> bool:
     if m >= u.precision:
         raise PrecisionExhausted(
             f"order {m} exceeds what precision {u.precision} supports")
-    rest = u.precision - m
-    lhs = u.series.truncate(rest).scaled(u.coefficient(m))
-    m_digits = PadicApprox.from_integer(
-        u.modulus, m, digits_for_precision(u.modulus, rest))
-    rhs = u.series.hasse_derivative(m) * pow_binomial(m_digits, rest).series
-    return lhs == rhs
+    f, rest = u.series, u.precision - m
+    lhs = f.coeffs[:rest] * u.coefficient(m) % f.modulus.p
+    return bool(np.array_equal(lhs, _hasse_row(f, m, rest)))
 
 
 def is_automorphism(u: OneUnit) -> bool:

@@ -3,16 +3,18 @@
 Everything here is deliberately naive: Pascal's triangle instead of digit
 products, schoolbook convolution instead of numpy, long division for digit
 streams, square-and-multiply over full-length series instead of Frobenius
-products, and the built N-by-N box instead of its read-off.  Slow but
-obviously correct.
+products, a Newton inverse instead of the expansion of (1+x)^(-y), and the
+built N-by-N box instead of its read-off.  Slow but obviously correct.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
-from oneunits import ModulusMismatch, Prime, ShapeMismatch, TruncSeries
+from oneunits import (ModulusMismatch, PadicApprox, Prime, ShapeMismatch,
+                      TruncSeries, digits_for_precision, pow_binomial)
 
 
 def pascal_binom(n: int, k: int, p: int) -> int:
@@ -55,6 +57,31 @@ def staged_descent(coeffs, p: int):
             return ("stage", len(digits) - 1)
         g = g[::p]
     return ("digits", tuple(digits))
+
+
+def newton_residual_stage(coeffs, p: int):
+    """The descent stage of u by the residual u (1+x)^(-y), y read off u.
+
+    (1+x)^y is expanded from the digits u_(p^i), p^i < N, and inverted
+    by Newton iteration; the stage is v_p of the gcd of the indices where
+    the residual differs from 1.  None when the residual is 1, i.e. when
+    u is a power of 1+x.
+    """
+    n = len(coeffs)
+    modulus = Prime(p)
+    u = TruncSeries(modulus, coeffs)
+    k = digits_for_precision(modulus, n)
+    y = PadicApprox(modulus, tuple(
+        coeffs[p**i] if p**i < n else 0 for i in range(k)))
+    residual = u * pow_binomial(y, n).series.invert()
+    support = [i for i, c in enumerate(residual.coeffs.tolist()) if i and c]
+    if not support:
+        return None
+    common, stage = gcd(*support), 0
+    while common % p == 0:
+        common //= p
+        stage += 1
+    return stage
 
 
 def fraction_digits(value: Fraction, p: int, k: int) -> tuple:

@@ -9,9 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oneunits
+from oneunits import cli
 from oneunits.cli import main
 
 
@@ -343,6 +345,44 @@ def test_console_script_smoke():
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout == "p=2;N=8;coeffs=1,1,0,0,1,1,0,0\n"
+
+
+OVER_BUDGET = [
+    ["pow", "-p", "2", "-N", str(cli.MAX_PRECISION + 1), "--y", "5"],
+    ["pow", "-p", "3", "--prec", str(cli.MAX_PRECISION + 1), "--y", "1/2",
+     "--method", "product"],
+    ["rationality", "-p", "2", "-N", str(cli.MAX_PRECISION + 1), "--y", "7"],
+    ["rationality", "-p", "2", "-N", "64", "--y", "7",
+     "--exp-digits", str(cli.MAX_DIGITS + 1)],
+    ["enumerate", "-p", "2", "-N", str(cli.MAX_PRECISION + 1)],
+    ["digits", "-p", "2", "-K", str(cli.MAX_DIGITS + 1), "--y", "1/3"],
+]
+
+
+def _forbid_building(monkeypatch):
+    """Make every path that would build digits or coefficients raise."""
+    def reached(*args, **kwargs):
+        raise AssertionError("the size reached a builder")
+    for name in ("_parse_exponent", "pow_binomial", "pow_product",
+                 "rationality_report", "enumerate_endomorphisms"):
+        monkeypatch.setattr(cli, name, reached)
+
+
+@pytest.mark.parametrize("argv", OVER_BUDGET)
+def test_size_budgets_refuse_before_building(monkeypatch, capsys, argv):
+    _forbid_building(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "exceeds the budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", OVER_BUDGET)
+def test_size_budgets_admit_the_ceiling(monkeypatch, argv):
+    _forbid_building(monkeypatch)
+    over = {str(cli.MAX_PRECISION + 1), str(cli.MAX_DIGITS + 1)}
+    at_ceiling = [str(int(a) - 1) if a in over else a for a in argv]
+    with pytest.raises(AssertionError, match="reached a builder"):
+        main(at_ceiling)
 
 
 def test_negative_digit_count_exits_2(capsys):

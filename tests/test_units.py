@@ -17,8 +17,9 @@ from oneunits import (ModulusMismatch, NonUnitExponent, NotAnEndomorphism,
                       is_endomorphism_via_theorem, pow_binomial, pow_product,
                       rationality_report, recover_exponent)
 from oneunits.units import _coeff_view, _read_off
-from oracles import (brute_period, order_of_x_mod, outer_product, pascal_binom,
-                     squaring_pow_product, staged_descent, subst_group_law)
+from oracles import (brute_period, newton_residual_stage, order_of_x_mod,
+                     outer_product, pascal_binom, squaring_pow_product,
+                     staged_descent, subst_group_law)
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -165,6 +166,10 @@ def test_recover_stage_failures():
     with pytest.raises(NotAnEndomorphism) as exc:
         recover_exponent(unit(2, [1, 0, 0, 0, 1, 0, 1, 0]))
     assert exc.value.stage == 1
+    # y = 1 is read off; u (1+x)^y in place of u (1+x)^(-y) gives stage 0
+    with pytest.raises(NotAnEndomorphism) as exc:
+        recover_exponent(unit(3, [1, 1, 0, 0, 0, 0, 1]))
+    assert exc.value.stage == 1
 
 
 def _check_against_descent(p, coeffs):
@@ -213,6 +218,21 @@ def test_recover_agrees_with_staged_descent(p, n, data):
     if p ** digits_for_precision(Prime(p), n) == n:
         n += 1
     _check_against_descent(p, _draw_coeffs(data, p, n))
+
+
+@given(SMALL_OR_LARGE_PRIME, st.data())
+def test_stage_matches_the_newton_residual(pn, data):
+    """The residual u (1+x)^(-y) expanded by the Lucas kernel on -y gives
+    the stage of u times the Newton inverse of (1+x)^y."""
+    p, n = pn
+    n = max(n, 2)
+    coeffs = _draw_coeffs(data, p, n)
+    try:
+        recover_exponent(unit(p, coeffs))
+        stage = None
+    except NotAnEndomorphism as exc:
+        stage = exc.stage
+    assert stage == newton_residual_stage(coeffs, p)
 
 
 DESCENT_GRID = ((2, 3), (2, 6), (2, 10), (3, 2), (3, 5), (3, 7), (5, 3),
@@ -324,6 +344,15 @@ def test_built_box_passes_exactly_below_n(pn, data):
     assert (_box_oracle(u) is None) == _passes_by_read_off(u)
 
 
+@given(SMALL_OR_LARGE_PRIME, st.data())
+def test_built_box_row_zero_always_matches(pn, data):
+    """Row 0 of both built boxes is f, as a_0 = 1; the box check skips it."""
+    p, n = pn
+    f = unit(p, _draw_coeffs(data, p, n)).series
+    assert outer_product(f, f).table[0].tolist() == f.coeffs.tolist()
+    assert subst_group_law(f).table[0].tolist() == f.coeffs.tolist()
+
+
 def test_box_and_theorem_agree_exhaustively():
     """On every one-unit the box names the built box's first mismatch.
 
@@ -378,6 +407,22 @@ def test_hasse_identity_frozen():
     assert hasse_identity_check(u, 1)
     assert all(hasse_identity_check(u, m) for m in range(8))
     assert not hasse_identity_check(unit(2, [1, 0, 1, 1]), 1)
+
+
+@given(SMALL_OR_LARGE_PRIME, st.data())
+def test_hasse_identity_matches_the_truncated_product(pn, data):
+    """At every order m < N the check is a_m f == D^m f (1+x)^m, both
+    sides as TruncSeries at precision N - m."""
+    p, n = pn
+    u = unit(p, _draw_coeffs(data, p, n))
+    f = u.series
+    for m in range(n):
+        rest = n - m
+        shift = pow_binomial(
+            exp_int(p, m, digits_for_precision(Prime(p), rest)), rest)
+        product = f.hasse_derivative(m) * shift.series
+        assert hasse_identity_check(u, m) == \
+            (f.truncate(rest).scaled(u.coefficient(m)) == product)
 
 
 def test_hasse_identity_bounds():
