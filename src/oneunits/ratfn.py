@@ -151,7 +151,9 @@ def from_pade(modulus: Prime, coeffs, num_degree: int,
     p = modulus.p
     m = num_degree + den_degree + 1
     head = np.asarray(coeffs[:m], dtype=np.int64) % p
-    num, d, den = _euclid([0] * m + [1], head, p, num_degree)
+    x_m = np.zeros(m + 1, dtype=np.int64)
+    x_m[m] = 1
+    num, d, den = _euclid(x_m, head, p, num_degree)
     if den[0] == 0:
         return None
     c = pow(int(den[0]), -1, p)

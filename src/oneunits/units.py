@@ -16,7 +16,10 @@ once p^K >= N.
 On top of those sit composition (a power f = (1+x)^y acts on g as g^y,
 by the same Frobenius product), automorphism inversion, the
 Hasse-derivative identity, and the rationality probes that compare what
-the digits of y say with what the coefficient stream of f shows.
+the digits of y say with what the coefficient stream of f shows.  The
+fraction a stream shows is usually (1+x)^m / 1 or 1 / (1+x)^(-m), with m
+read off x^(p^i) as well and verified by one product; the extended
+Euclid reconstructs it only when that reading fails.
 """
 
 from __future__ import annotations
@@ -192,16 +195,20 @@ def pow_product(exponent: PadicApprox, precision: int) -> OneUnit:
     return OneUnit(_frobenius_power(one_plus_x, exponent.digits))
 
 
-def _read_off(u: OneUnit) -> tuple[PadicApprox, TruncSeries]:
-    """Digits i of y with p^i < N, read off at x^(p^i), and (1+x)^y mod x^N.
+def _read_digits(u: OneUnit) -> tuple[int, ...]:
+    """Digits i of y with p^i < N, read off at x^(p^i); 0 past x^N.
 
-    At N = 1 no coefficient is read: y is the digit 0 and the series [1].
+    At N = 1 no coefficient is read: y is the digit 0.
     """
     p, n = u.modulus.p, u.precision
-    y = PadicApprox(u.modulus, tuple(
-        u.coefficient(p**i) if p**i < n else 0
-        for i in range(digits_for_precision(u.modulus, n))))
-    return y, pow_binomial(y, n).series
+    return tuple(u.coefficient(p**i) if p**i < n else 0
+                 for i in range(digits_for_precision(u.modulus, n)))
+
+
+def _read_off(u: OneUnit) -> tuple[PadicApprox, TruncSeries]:
+    """The read-off y of u (see :func:`_read_digits`) and (1+x)^y mod x^N."""
+    y = PadicApprox(u.modulus, _read_digits(u))
+    return y, pow_binomial(y, u.precision).series
 
 
 def recover_exponent(u: OneUnit) -> PadicApprox:
@@ -251,15 +258,23 @@ class BoxVerdict:
         return self.mismatch is None
 
 
+def _binomial_row(m: int, length: int, p: int) -> np.ndarray:
+    """(1+x)^m mod x^length for an integer m >= 0.
+
+    The binomials C(m, j) come straight from the Lucas kernel over the
+    base-p digits of m.
+    """
+    return _lucas_kron(lambda i, size: _pascal_row(m // p**i % p, size, p),
+                       length, p)
+
+
 def _hasse_row(f: TruncSeries, m: int, length: int) -> np.ndarray:
     """(1+x)^m D^m f mod x^length, for m < N and length <= N.
 
-    The binomials C(m, j) of the shift come straight from the Lucas
-    kernel over the digits of m, cut at degree m.
+    The shift (1+x)^m is cut at its degree m.
     """
     p = f.modulus.p
-    shift = _lucas_kron(lambda i, size: _pascal_row(m // p**i % p, size, p),
-                        min(length, m + 1), p)
+    shift = _binomial_row(m, min(length, m + 1), p)
     return _convolve_mod(shift, f.hasse_derivative(m).coeffs[:length],
                          length, p)
 
@@ -459,6 +474,27 @@ def _period_of(den: tuple[int, ...], p: int, bound: int) -> int | None:
     return None
 
 
+def _power_fraction(u: OneUnit, w: int, r: int) -> RationalFn | None:
+    """(1+x)^m / 1 or 1 / (1+x)^(-m), read off u, if u expands it.
+
+    m is read off u's digits at x^(p^i), Y = sum u_(p^i) p^i < q = p^K:
+    m = Y when Y <= W + R - 1, else m = Y - q, and only -R <= m is tried.
+    Either candidate has type (W + R - 1, R) and is reduced with Q(0) = 1,
+    so when it expands to u it is the very fraction :func:`from_pade`
+    would return; None sends the caller to the Euclid.
+    """
+    p = u.modulus.p
+    digits = _read_digits(u)
+    y = sum(d * p**i for i, d in enumerate(digits))
+    m = y if y <= w + r - 1 else y - p ** len(digits)
+    if m < -r:
+        return None
+    power = tuple(_binomial_row(abs(m), abs(m) + 1, p).tolist())
+    fn = (RationalFn(u.modulus, power, (1,)) if m >= 0
+          else RationalFn(u.modulus, (1,), power))
+    return fn if _expands_to(fn, u.series) else None
+
+
 def _coeff_view(u: OneUnit, max_preperiod: int | None,
                 max_period: int | None) -> tuple[PeriodReport, RationalFn] | None:
     """The coefficient view of :func:`rationality_report` on any one-unit."""
@@ -470,14 +506,52 @@ def _coeff_view(u: OneUnit, max_preperiod: int | None,
         raise WindowTooSmall(
             f"window of {n} coefficients cannot settle a fraction with "
             f"preperiod {w} and denominator degree {r}: that needs {w + 2 * r}")
-    fn = from_pade(u.modulus, u.series.coeffs, w + r - 1, r)
+    fn = _power_fraction(u, w, r)
     if fn is None:
-        return None
+        fn = from_pade(u.modulus, u.series.coeffs, w + r - 1, r)
+        if fn is None or not _expands_to(fn, u.series):
+            return None
     preperiod = max(0, len(fn.numerator) - len(fn.denominator) + 1)
-    if preperiod > w or not _expands_to(fn, u.series):
+    if preperiod > w:
         return None
     period = _period_of(fn.denominator, u.modulus.p, r)
     return None if period is None else (PeriodReport(preperiod, period), fn)
+
+
+# a fraction a/b, b > 1, overrules a tail-rule integer y when
+# _SHORTER_BY |a| b < |y| (see rationality_report)
+_SHORTER_BY = 8
+
+
+def _wang_fraction(exponent: PadicApprox) -> tuple[int, int] | None:
+    """The a/b = y mod M = p^K with |a|, b <= sqrt(M/2), b > 0, if any.
+
+    Wang's rational reconstruction: the extended Euclid on (M, y mod M),
+    stopped at the first remainder r <= sqrt(M/2); r = t y mod M for its
+    cofactor t, and the fraction r/t is the answer when |t| <= sqrt(M/2)
+    and gcd(r, t) = 1.  At most one such fraction exists.
+    """
+    mod = exponent.modulus.p ** exponent.precision
+    bound = math.isqrt(mod // 2)
+    r0, r1, t0, t1 = mod, exponent.value, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    a, b = (r1, t1) if t1 > 0 else (-r1, -t1)
+    if b > bound or math.gcd(a, b) != 1:
+        return None
+    return a, b
+
+
+def _integer_view(exponent: PadicApprox) -> IntegerVerdict:
+    """The tail rule's verdict, unless a much shorter fraction overrules it."""
+    verdict = exponent.is_integer_window()
+    if verdict.is_integer:
+        fraction = _wang_fraction(exponent)
+        if fraction is not None and fraction[1] > 1 and \
+                _SHORTER_BY * abs(fraction[0]) * fraction[1] < abs(verdict.value):
+            return IntegerVerdict("not-integer-in-window")
+    return verdict
 
 
 def rationality_report(exponent: PadicApprox, precision: int,
@@ -485,13 +559,23 @@ def rationality_report(exponent: PadicApprox, precision: int,
                        max_period: int | None = None) -> RationalityReport:
     """Expand (1+x)^y and compare the digit and coefficient views of y.
 
+    The digit view is the tail rule of :meth:`PadicApprox.is_integer_window`,
+    overruled to "not-integer-in-window" when Wang's rational
+    reconstruction of the same digits gives a fraction a/b, b > 1, with
+    8 |a| b < |y|.  A window is ambiguous (1/5 over F_2 at K = 10 has the
+    digits of 205), and the report picks the shorter description; an
+    integer with 2 y^2 <= p^K is its own reconstruction and stands.
+
     The coefficient view reconstructs the fraction of type
     (deg P < W + R, deg Q <= R) from the first W + 2R of the N
     coefficients, W = max_preperiod and R = max_period (each N // 8 by
     default), and accepts it when it re-expands to all N and its
     preperiod max(0, deg P - deg Q + 1) is at most W.  At most one such
     fraction fits W + 2R coefficients, so WindowTooSmall is raised when
-    W + 2R > N.  R bounds the degree of the denominator, not the period:
+    W + 2R > N.  Usually it is (1+x)^m / 1 or 1 / (1+x)^(-m): m is read
+    off the coefficients at x^(p^i) and the candidate verified by one
+    product, and the extended Euclid of :func:`from_pade` runs only when
+    that fails.  R bounds the degree of the denominator, not the period:
     1/(1+x)^e has period 2p^ceil(log_p e) (2^ceil(log_2 e) for p = 2),
     which may exceed R and even N/2.  A denominator that is not a power
     of 1+x is accepted only with period at most R.  Wherever
@@ -499,7 +583,7 @@ def rationality_report(exponent: PadicApprox, precision: int,
     report is that period and its :func:`coeffs_to_rational` fraction.
     """
     u = pow_binomial(exponent, precision)
-    verdict = exponent.is_integer_window()
+    verdict = _integer_view(exponent)
     view = _coeff_view(u, max_preperiod, max_period)
     report, fn = view if view is not None else (None, None)
     return RationalityReport(

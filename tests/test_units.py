@@ -1,5 +1,6 @@
 """One-units of F_p[[x]]: powers of 1+x, recognition, inversion, rationality."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,10 +17,11 @@ from oneunits import (ModulusMismatch, NonUnitExponent, NotAnEndomorphism,
                       is_automorphism, is_endomorphism_bivariate,
                       is_endomorphism_via_theorem, pow_binomial, pow_product,
                       rationality_report, recover_exponent)
-from oneunits.units import _coeff_view, _read_off
+from oneunits.units import (_coeff_view, _integer_view, _power_fraction,
+                            _read_off)
 from oracles import (brute_period, newton_residual_stage, order_of_x_mod,
-                     outer_product, pascal_binom, squaring_pow_product,
-                     staged_descent, subst_group_law)
+                     outer_product, pade_coeff_view, pascal_binom,
+                     squaring_pow_product, staged_descent, subst_group_law)
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -208,16 +210,57 @@ def _draw_coeffs(data, p, n):
     return coeffs
 
 
+def _stage_non_power(data, p, n):
+    """A power of 1+x times 1 + c x^(qk), q = p^s < N, k prime to p.
+
+    Returns the coefficient list, s, and whether the factor is itself a
+    power of 1+x mod x^N: (1+x)^(cq) = 1 + c x^q + C(c, 2) x^(2q) + ...,
+    so exactly when k = 1 and (c = 1 or 2q >= N).
+    """
+    P = Prime(p)
+    k_digits = digits_for_precision(P, n)
+    s = data.draw(st.integers(0, k_digits - 1), label="s")
+    q = p ** s
+    k = data.draw(st.integers(1, (n - 1) // q).filter(lambda k: k % p),
+                  label="k")
+    c = data.draw(st.integers(1, p - 1), label="c")
+    factor = [0] * n
+    factor[0], factor[q * k] = 1, c
+    power = pow_binomial(_draw_exponent(data, p, k_digits), n).series
+    coeffs = (power * TruncSeries(P, factor)).coeffs.tolist()
+    return coeffs, s, k == 1 and (c == 1 or 2 * q >= n)
+
+
+def _draw_any_coeffs(data, p, n):
+    """A one-unit of :func:`_draw_coeffs`, or a stage-s non-power."""
+    if data.draw(st.booleans(), label="stage-s non-power"):
+        return _stage_non_power(data, p, n)[0]
+    return _draw_coeffs(data, p, n)
+
+
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(2, 60), st.data())
 def test_recover_agrees_with_staged_descent(p, n, data):
     """Read-off recovery gives the descent's digits, or its failing stage.
 
-    The one-units are powers, powers with one coefficient changed, and
-    arbitrary one-units, at precisions that are not powers of p.
+    The one-units are powers, powers with one coefficient changed,
+    arbitrary one-units and non-powers of every stage s, at precisions
+    that are not powers of p.
     """
     if p ** digits_for_precision(Prime(p), n) == n:
         n += 1
-    _check_against_descent(p, _draw_coeffs(data, p, n))
+    _check_against_descent(p, _draw_any_coeffs(data, p, n))
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(2, 130), st.data())
+def test_stage_non_power_fails_at_stage_s(p, n, data):
+    """(1+x)^y (1 + c x^(p^s k)), k prime to p, is rejected at stage s
+    unless the factor is itself a power of 1+x mod x^N."""
+    coeffs, s, factor_is_power = _stage_non_power(data, p, n)
+    try:
+        recover_exponent(unit(p, coeffs))
+        assert factor_is_power
+    except NotAnEndomorphism as exc:
+        assert not factor_is_power and exc.stage == s
 
 
 @given(SMALL_OR_LARGE_PRIME, st.data())
@@ -226,7 +269,7 @@ def test_stage_matches_the_newton_residual(pn, data):
     the stage of u times the Newton inverse of (1+x)^y."""
     p, n = pn
     n = max(n, 2)
-    coeffs = _draw_coeffs(data, p, n)
+    coeffs = _draw_any_coeffs(data, p, n)
     try:
         recover_exponent(unit(p, coeffs))
         stage = None
@@ -653,6 +696,114 @@ def test_coeff_view_bounds_other_denominators_by_max_period():
     report, fn = _coeff_view(u, 8, 16)
     assert report == PeriodReport(0, 15) == detect_coeff_period(u, 8, 16)
     assert fn == RationalFn(P2, (1,), (1, 1, 0, 0, 1))
+
+
+def _draw_stream(data, p, n):
+    """(1+x)^Y with Y near 0, near q = p^K or uniform below q, a power with
+    one coefficient changed, or an arbitrary one-unit."""
+    k = digits_for_precision(Prime(p), n)
+    q = p ** k
+    kind = data.draw(st.sampled_from(
+        ["near 0", "near q", "digits", "perturbed", "arbitrary"]), label="kind")
+    if kind == "arbitrary":
+        return unit(p, [1] + data.draw(st.lists(
+            st.integers(0, p - 1), min_size=n - 1, max_size=n - 1)))
+    if kind == "near 0":
+        y = data.draw(st.integers(0, min(n, q - 1)), label="Y")
+    elif kind == "near q":
+        y = q - data.draw(st.integers(1, min(n + 1, q)), label="q - Y")
+    else:
+        y = data.draw(st.integers(0, q - 1), label="Y")
+    coeffs = pow_binomial(exp_int(p, y, k), n).series.coeffs.tolist()
+    if kind == "perturbed":
+        j = data.draw(st.integers(1, n - 1), label="j")
+        coeffs[j] = (coeffs[j] + data.draw(st.integers(1, p - 1))) % p
+    return unit(p, coeffs)
+
+
+@given(SMALL_OR_LARGE_PRIME, st.data())
+def test_coeff_view_matches_the_pade_oracle(pn, data):
+    """Reading (1+x)^m off the stream gives the Euclid's report exactly.
+
+    Windows W + 2R <= N, half of them tight (W + 2R = N - 1 or N).
+    """
+    p, n = pn
+    n = max(n, 2)
+    u = _draw_stream(data, p, n)
+    w = data.draw(st.integers(0, n - 2), label="W")
+    top = (n - w) // 2
+    r = data.draw(st.one_of(st.just(top), st.integers(1, top)), label="R")
+    assert _coeff_view(u, w, r) == pade_coeff_view(u, w, r)
+
+
+COEFF_VIEW_GRID = ((2, 16), (2, 12), (3, 9), (3, 7), (5, 5), (5, 8), (7, 7))
+
+
+def test_coeff_view_matches_the_pade_oracle_exhaustively():
+    """Every Y < q and every window W + 2R <= N, at small p and N."""
+    for p, n in COEFF_VIEW_GRID:
+        k = digits_for_precision(Prime(p), n)
+        for y in range(p ** k):
+            u = pow_binomial(exp_int(p, y, k), n)
+            for w in range(n - 1):
+                for r in range(1, (n - w) // 2 + 1):
+                    assert _coeff_view(u, w, r) == pade_coeff_view(u, w, r), \
+                        (p, n, y, w, r)
+
+
+@pytest.mark.parametrize("p, n, w, r", [(3, 256, 32, 112), (5, 256, 32, 112),
+                                        (2, 64, 8, 8), (3, 81, 5, 20),
+                                        (5, 30, 2, 14)])
+def test_power_fraction_reads_exactly_the_type_range(p, n, w, r):
+    """(1+x)^m is read off for -R <= m <= W + R - 1 and for no other m;
+    outside, the Euclid is left to find what fits.  The first two windows
+    are criterion 7's; in each, W + 2R < q, so no two m here are equal
+    mod q."""
+    k = digits_for_precision(Prime(p), n)
+    for m in (-r - 1, -r, -1, 0, 1, w + r - 1, w + r):
+        fn = _power_fraction(pow_binomial(exp_int(p, m, k), n), w, r)
+        if -r <= m <= w + r - 1:
+            power = pow_binomial(exp_int(p, abs(m), k), abs(m) + 1)
+            power = tuple(power.series.coeffs.tolist())
+            assert fn == (RationalFn(Prime(p), power, (1,)) if m >= 0
+                          else RationalFn(Prime(p), (1,), power))
+        else:
+            assert fn is None
+
+
+def test_coeff_view_falls_back_to_the_euclid():
+    """(1+x)^9 over F_2 at N = 12, W = 6, R = 3 is neither reading.
+
+    9 > W + R - 1 and 9 - 16 < -R, so only the Euclid finds
+    (1 + x^4 + x^8) / (1 + x)^3, of preperiod 6 and period 4.
+    """
+    u = pow_binomial(exp_int(2, 9, 4), 12)
+    assert _power_fraction(u, 6, 3) is None
+    report, fn = _coeff_view(u, 6, 3)
+    assert fn == RationalFn(P2, (1, 0, 0, 0, 1, 0, 0, 0, 1), (1, 1, 1, 1))
+    assert report == PeriodReport(6, 4)
+    assert (report, fn) == pade_coeff_view(u, 6, 3)
+
+
+@pytest.mark.parametrize("y, k", [(Fraction(1, 5), 10), (Fraction(1, 5), 12),
+                                  (Fraction(-1, 7), 9), (Fraction(-1, 7), 12)])
+def test_rationality_report_vetoes_unlucky_phases(y, k):
+    """The tail rule reads these windows as integers (205, -819, 73, 585);
+    the much shorter fraction of the same digits overrules it."""
+    exponent = PadicApprox.from_fraction(P2, y, k)
+    assert exponent.is_integer_window().is_integer
+    r = rationality_report(exponent, 512, 64, 64)
+    assert r.integer_verdict.kind == "not-integer-in-window"
+    assert r.coeff_period is None and r.consistent
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(2, 24), st.data())
+def test_veto_keeps_integers_below_the_reconstruction_bound(p, k, data):
+    """An integer y with 2 y^2 <= p^K is its own rational reconstruction,
+    so the tail rule's reading of it is never overruled."""
+    bound = math.isqrt(p ** k // 2)
+    exponent = exp_int(p, data.draw(st.integers(-bound, bound)), k)
+    assert _integer_view(exponent) == exponent.is_integer_window()
 
 
 def test_rationality_report_window_too_small():
