@@ -3,96 +3,20 @@
 The package turns one question into executable checks: which truncated
 series with constant term 1 arise as (1+x)^y for a p-adic integer y,
 how to read y back off the coefficients, and how the rationality of the
-series reflects the integrality of y.
+series reflects the integrality of y.  Each module's ``__all__`` is the
+part of it the package re-exports.
 """
 
-from .errors import (
-    DenominatorNotCoprime,
-    DivisionByZero,
-    InconsistentReport,
-    ModulusMismatch,
-    NonUnitConstantTerm,
-    NonUnitExponent,
-    NonzeroConstantInner,
-    NotAnEndomorphism,
-    NotAPthPower,
-    OneUnitsError,
-    PrecisionExhausted,
-    ShapeMismatch,
-    TooLargeToEnumerate,
-    WindowTooSmall,
-)
-from .fp import FpElement, Prime, binom_digit, lucas_binom
-from .padic import IntegerVerdict, PadicApprox
-from .periodic import PeriodReport, find_period
-from .ratfn import RationalFn, from_period
-from .series import TruncSeries
-from .units import (
-    BoxVerdict,
-    EndoVerdict,
-    OneUnit,
-    RationalityReport,
-    coeffs_to_rational,
-    compose_unit,
-    detect_coeff_period,
-    digits_for_precision,
-    enumerate_endomorphisms,
-    hasse_identity_check,
-    invert_automorphism,
-    is_automorphism,
-    is_endomorphism_bivariate,
-    is_endomorphism_via_theorem,
-    pow_binomial,
-    pow_product,
-    rationality_report,
-    recover_exponent,
-)
+from . import errors, fp, padic, periodic, ratfn, series, units
+from .errors import *
+from .fp import *
+from .padic import *
+from .periodic import *
+from .ratfn import *
+from .series import *
+from .units import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoxVerdict",
-    "DenominatorNotCoprime",
-    "DivisionByZero",
-    "EndoVerdict",
-    "FpElement",
-    "InconsistentReport",
-    "IntegerVerdict",
-    "ModulusMismatch",
-    "NonUnitConstantTerm",
-    "NonUnitExponent",
-    "NonzeroConstantInner",
-    "NotAnEndomorphism",
-    "NotAPthPower",
-    "OneUnit",
-    "OneUnitsError",
-    "PadicApprox",
-    "PeriodReport",
-    "PrecisionExhausted",
-    "Prime",
-    "RationalFn",
-    "RationalityReport",
-    "ShapeMismatch",
-    "TooLargeToEnumerate",
-    "TruncSeries",
-    "WindowTooSmall",
-    "binom_digit",
-    "coeffs_to_rational",
-    "compose_unit",
-    "detect_coeff_period",
-    "digits_for_precision",
-    "enumerate_endomorphisms",
-    "find_period",
-    "from_period",
-    "hasse_identity_check",
-    "invert_automorphism",
-    "is_automorphism",
-    "is_endomorphism_bivariate",
-    "is_endomorphism_via_theorem",
-    "lucas_binom",
-    "pow_binomial",
-    "pow_product",
-    "rationality_report",
-    "recover_exponent",
-    "__version__",
-]
+__all__ = [name for module in (errors, fp, padic, periodic, ratfn, series, units)
+           for name in module.__all__] + ["__version__"]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -94,6 +95,10 @@ _GUARD_DIGITS = 4  # parse-time headroom beyond the minimum p^K >= N
 # built: N (-N/--prec) counts coefficients, K (-K, --exp-digits) digits.
 MAX_PRECISION = 1 << 20
 MAX_DIGITS = 1 << 12
+# Decimal digits of p^K < 2^(31 K) at K = MAX_DIGITS: every integer a
+# verdict within budget prints, and argv still cannot ask for a
+# quadratic-time conversion of an unbounded string.
+_INT_STR_DIGITS = math.ceil(31 * MAX_DIGITS * math.log10(2)) + 1
 
 
 class OverBudget(OneUnitsError):
@@ -356,6 +361,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if not hasattr(sys, "set_int_max_str_digits"):   # no limit before 3.10.7
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(_INT_STR_DIGITS)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

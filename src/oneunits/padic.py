@@ -26,6 +26,14 @@ from .periodic import PeriodReport, find_period
 __all__ = ["PadicApprox", "IntegerVerdict"]
 
 
+def _from_digits(digits, p: int) -> int:
+    """sum d_i p^i over little-endian base-p digits d_0, d_1, ..."""
+    out = 0
+    for d in reversed(digits):
+        out = out * p + d
+    return out
+
+
 @dataclass(frozen=True)
 class IntegerVerdict:
     """What a digit window says about integrality.
@@ -101,10 +109,7 @@ class PadicApprox:
     @property
     def value(self) -> int:
         """The canonical residue in [0, p^K)."""
-        out = 0
-        for d in reversed(self.digits):
-            out = out * self.modulus.p + d
-        return out
+        return _from_digits(self.digits, self.modulus.p)
 
     def truncate(self, precision: int) -> "PadicApprox":
         if not 1 <= precision <= self.precision:
@@ -182,10 +187,8 @@ class PadicApprox:
         if k - start < 2:
             return IntegerVerdict("not-integer-in-window")
         if tail == 0:
-            head = 0
-            for d in reversed(self.digits[:start]):
-                head = head * self.modulus.p + d
-            return IntegerVerdict("nonneg-integer", head)
+            return IntegerVerdict("nonneg-integer",
+                                  _from_digits(self.digits[:start], self.modulus.p))
         return IntegerVerdict("negative-integer", self.value - self.modulus.p**k)
 
     def detect_digit_period(self, max_preperiod: int, max_period: int) -> PeriodReport | None:
@@ -204,12 +207,8 @@ class PadicApprox:
             raise InconsistentReport(
                 f"report ({w}, {r}) spans beyond {self.precision} digits")
         p = self.modulus.p
-        head = 0
-        for d in reversed(self.digits[:w]):
-            head = head * p + d
-        rep = 0
-        for d in reversed(self.digits[w:w + r]):
-            rep = rep * p + d
+        head = _from_digits(self.digits[:w], p)
+        rep = _from_digits(self.digits[w:w + r], p)
         total = Fraction(head) + Fraction(p**w) * Fraction(rep, 1 - p**r)
         if PadicApprox.from_fraction(self.modulus, total, self.precision) != self:
             raise InconsistentReport(

@@ -18,7 +18,7 @@ from .fp import Prime, _parse_fields
 from .periodic import PeriodReport
 from .series import TruncSeries
 
-__all__ = ["RationalFn", "from_pade", "from_period"]
+__all__ = ["RationalFn", "from_period"]
 
 
 def _trim(c):

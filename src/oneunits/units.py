@@ -274,9 +274,9 @@ def _hasse_row(f: TruncSeries, m: int, length: int) -> np.ndarray:
     The shift (1+x)^m is cut at its degree m.
     """
     p = f.modulus.p
+    derivative = f.hasse_derivative(m).coeffs[:length]
     shift = _binomial_row(m, min(length, m + 1), p)
-    return _convolve_mod(shift, f.hasse_derivative(m).coeffs[:length],
-                         length, p)
+    return _convolve_mod(shift, derivative, length, p)
 
 
 def is_endomorphism_bivariate(u: OneUnit) -> BoxVerdict:
@@ -333,16 +333,13 @@ def hasse_identity_check(u: OneUnit, m: int) -> bool:
     """Whether a_m * f == D^m(f) * (1+x)^m holds mod x^(N-m).
 
     Truncated powers of 1+x satisfy this for every order m below their
-    precision, so one failing order certifies a non-power.
+    precision, so one failing order certifies a non-power.  An order
+    outside [0, N) raises as :meth:`TruncSeries.hasse_derivative` does.
     """
-    if m < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if m >= u.precision:
-        raise PrecisionExhausted(
-            f"order {m} exceeds what precision {u.precision} supports")
     f, rest = u.series, u.precision - m
+    rhs = _hasse_row(f, m, rest)
     lhs = f.coeffs[:rest] * u.coefficient(m) % f.modulus.p
-    return bool(np.array_equal(lhs, _hasse_row(f, m, rest)))
+    return bool(np.array_equal(lhs, rhs))
 
 
 def is_automorphism(u: OneUnit) -> bool:
@@ -444,15 +441,17 @@ class RationalityReport:
     consistent: bool
 
 
-def _period_of(den: tuple[int, ...], p: int, bound: int) -> int | None:
+def _period_of(den: tuple[int, ...], modulus: Prime, bound: int) -> int | None:
     """Order of x modulo den (den[0] = 1), the period of any n/den.
 
     For den = t^e, t = 1+x, it is 2p^ceil(log_p e), or 2^ceil(log_2 e)
     when p = 2: x = -(1 - t), and modulo t^e the unit 1 - t has order
     the least p^k >= e since (1 - t)^(p^k) = 1 - t^(p^k).  Any other den
-    is searched up to bound; None beyond it.
+    is searched up to bound as the pure period of 1/den; None beyond it.
+    1/den obeys a recurrence of order deg den, so a period that holds on
+    its first 2 bound + deg den terms holds for ever.
     """
-    e = len(den) - 1
+    e, p = len(den) - 1, modulus.p
     # compared as lists: a tuple built from a generator on every call
     # raised the peak RSS of long runs by a few MB (CPython 3.11)
     if list(den) == [math.comb(e, k) % p for k in range(e + 1)]:
@@ -460,18 +459,9 @@ def _period_of(den: tuple[int, ...], p: int, bound: int) -> int | None:
         while q < e:
             q *= p
         return q if p == 2 or e == 0 else 2 * q
-    monic = np.array(den, dtype=np.int64) * pow(den[-1], -1, p) % p
-    one = np.zeros(e, dtype=np.int64)
-    one[0] = 1
-    state = one.copy()
-    for r in range(1, bound + 1):                # state = x^r mod den
-        carry = int(state[-1])
-        state = np.roll(state, 1)
-        state[0] = 0
-        state = (state - carry * monic[:-1]) % p
-        if np.array_equal(state, one):
-            return r
-    return None
+    inverse = TruncSeries(modulus, _padded(den, 2 * bound + e)).invert()
+    report = find_period(inverse.coeffs, 0, bound)
+    return None if report is None else report.period
 
 
 def _power_fraction(u: OneUnit, w: int, r: int) -> RationalFn | None:
@@ -514,7 +504,7 @@ def _coeff_view(u: OneUnit, max_preperiod: int | None,
     preperiod = max(0, len(fn.numerator) - len(fn.denominator) + 1)
     if preperiod > w:
         return None
-    period = _period_of(fn.denominator, u.modulus.p, r)
+    period = _period_of(fn.denominator, u.modulus, r)
     return None if period is None else (PeriodReport(preperiod, period), fn)
 
 
@@ -609,7 +599,6 @@ def enumerate_endomorphisms(modulus: Prime, precision: int) -> list[OneUnit]:
     if count > 1 << 20:
         raise TooLargeToEnumerate(
             f"{count} candidates at p={p}, N={n}; refusing beyond 2^20")
-    k = digits_for_precision(modulus, n)
-    powers = (pow_binomial(PadicApprox.from_integer(modulus, m, k), n)
+    powers = (OneUnit(TruncSeries(modulus, _binomial_row(m, n, p)))
               for m in range(n))
     return sorted(powers, key=lambda u: u.series.coeffs.tolist())

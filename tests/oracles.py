@@ -103,7 +103,7 @@ def pade_coeff_view(u, w: int, r: int):
     preperiod = max(0, len(fn.numerator) - len(fn.denominator) + 1)
     if preperiod > w or not _expands_to(fn, u.series):
         return None
-    period = _period_of(fn.denominator, u.modulus.p, r)
+    period = _period_of(fn.denominator, u.modulus, r)
     return None if period is None else (PeriodReport(preperiod, period), fn)
 
 

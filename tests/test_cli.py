@@ -385,6 +385,48 @@ def test_size_budgets_admit_the_ceiling(monkeypatch, argv):
         main(at_ceiling)
 
 
+def _decimal(n):
+    """str(n) for n >= 0 past the int/str digit limit, 1000 digits at a time."""
+    chunks = []
+    while n >= 10**1000:
+        n, low = divmod(n, 10**1000)
+        chunks.append(f"{low:01000d}")
+    return str(n) + "".join(reversed(chunks))
+
+
+def test_integers_past_4300_digits_parse_and_print(capsys):
+    """An integer within the digit budget is read and printed in full.
+
+    7^6000 has 5071 decimal digits, past CPython's default int/str limit
+    of 4300, and 2 y^2 <= p^K, so Wang's reconstruction is y itself and
+    the integer verdict stands.  main restores the caller's limit.
+    """
+    p, k, y = 2**31 - 1, 1200, 7**6000
+    assert 2 * y * y <= p**k
+    text, limit = _decimal(y), sys.get_int_max_str_digits()
+    argv = ["rationality", "-p", str(p), "-N", "64", "--exp-digits", str(k),
+            "--y", text]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"integer: yes ({text})"
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out, parse_int=str)["integer"] == \
+        {"kind": "nonneg-integer", "value": text}
+    code, out, err = run(capsys, "pow", "-p", str(p), "-N", "4", "--y", text)
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "pow", "-p", str(p), "-N", "4",
+                      "--y", str(y % p**5))[1]
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_integers_past_the_digit_budget_exit_2(capsys):
+    code, out, err = run(capsys, "pow", "-p", "5", "-N", "4",
+                         "--y", "7" * (cli._INT_STR_DIGITS + 1))
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: Exceeds the limit")
+
+
 def test_negative_digit_count_exits_2(capsys):
     for y in ("5", "1/2"):
         code, out, err = run(capsys, "digits", "-p", "3", "-K", "-1", "--y", y)

@@ -17,8 +17,8 @@ from oneunits import (ModulusMismatch, NonUnitExponent, NotAnEndomorphism,
                       is_automorphism, is_endomorphism_bivariate,
                       is_endomorphism_via_theorem, pow_binomial, pow_product,
                       rationality_report, recover_exponent)
-from oneunits.units import (_coeff_view, _integer_view, _power_fraction,
-                            _read_off)
+from oneunits.units import (_coeff_view, _integer_view, _period_of,
+                            _power_fraction, _read_off)
 from oracles import (brute_period, newton_residual_stage, order_of_x_mod,
                      outer_product, pade_coeff_view, pascal_binom,
                      squaring_pow_product, staged_descent, subst_group_law)
@@ -470,9 +470,11 @@ def test_hasse_identity_matches_the_truncated_product(pn, data):
 
 def test_hasse_identity_bounds():
     u = unit(3, [1, 1, 1])
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(PrecisionExhausted,
+                       match="^order 3 exceeds what precision 3 supports$"):
         hasse_identity_check(u, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^derivative order must be nonnegative$"):
         hasse_identity_check(u, -1)
 
 
@@ -687,6 +689,94 @@ def test_rationality_report_sees_fitting_integers(p, y, n, data):
     report = rationality_report(exponent, n, w, r)
     if (y + 1 <= w) if y >= 0 else (-y <= r):
         assert report.consistent and report.coeff_period is not None
+
+
+def _x_power_mod(den, n, p):
+    """x^n modulo den over F_p (den[-1] != 0), by square and multiply."""
+    def reduce(poly):
+        poly = list(poly)
+        lead = pow(den[-1], -1, p)
+        for top in range(len(poly) - 1, len(den) - 2, -1):
+            c = poly[top] * lead % p
+            for j, d in enumerate(den):
+                poly[top - len(den) + 1 + j] -= c * d
+        return [c % p for c in poly[:len(den) - 1]]
+
+    def times(a, b):
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        return reduce(prod)
+
+    result, base = reduce([1]), reduce([0, 1])
+    while n:
+        if n & 1:
+            result = times(result, base)
+        base, n = times(base, base), n >> 1
+    return result
+
+
+def _small_order_den(p, r, kind):
+    """1 - x^r, 1 + x^r or 1 + x + ... + x^(r-1): orders r, 2r (odd p), r."""
+    if kind == 0:
+        return (1,) + (0,) * (r - 1) + (p - 1,)
+    if kind == 1:
+        return (1,) + (0,) * (r - 1) + (1,)
+    return (1,) * r
+
+
+@given(st.sampled_from([2, 3, 5, 7, 65537, 2**31 - 1]), st.data())
+def test_period_of_is_the_order_of_x(p, data):
+    """_period_of is the order of x modulo den, or None past the bound.
+
+    Powers of 1+x take the closed form whatever the bound; the oracle
+    confirms it where the order is small enough to walk, and beyond that
+    x^n = 1 with x^(n/l) != 1 for the primes l | n = 2^a p^b.  Any other
+    den is checked at bounds just below, at and above its order, and at
+    bounds up to its degree: 1/(1 - x^r + c x^e) repeats with period r
+    below x^e, so for e >= 2r its first 2r terms alone show a false
+    period r.
+    """
+    P = Prime(p)
+    kind = data.draw(st.sampled_from(
+        ["power", "small order", "near period", "random"]))
+    if kind == "power":
+        e = data.draw(st.integers(0, 12), label="e")
+        den = tuple(math.comb(e, k) % p for k in range(e + 1))
+        n = _period_of(den, P, data.draw(st.integers(1, 64), label="bound"))
+        if n <= 1 << 18:
+            assert order_of_x_mod(den, p, n) == n
+        else:
+            one = _x_power_mod(den, 0, p)
+            assert _x_power_mod(den, n, p) == one
+            assert all(_x_power_mod(den, n // q, p) != one
+                       for q in {2, p} if n % q == 0)
+        return
+    if kind == "small order":
+        den = _small_order_den(p, data.draw(st.integers(2, 24), label="r"),
+                               data.draw(st.integers(0, 2), label="shape"))
+    elif kind == "near period":             # 1/den = 1 + x^r + ... below x^e
+        r = data.draw(st.integers(1, 8), label="r")
+        e = data.draw(st.integers(2 * r, 2 * r + 6), label="deg")
+        den = [1] + [0] * e
+        den[r] = p - 1
+        den[e] = data.draw(st.integers(1, p - 1), label="lead")
+        den = tuple(den)
+    else:
+        e = data.draw(st.integers(1, 6), label="deg")
+        den = tuple([1] + [data.draw(st.integers(0, p - 1)) for _ in range(e - 1)]
+                    + [data.draw(st.integers(1, p - 1), label="lead")])
+    if den == tuple(math.comb(len(den) - 1, k) % p for k in range(len(den))):
+        return                              # a power of 1+x after all
+    order = order_of_x_mod(den, p, 4096)
+    bounds = set(range(1, len(den) + 2))
+    bounds.add(data.draw(st.integers(1, 200), label="bound"))
+    if order is not None:
+        bounds |= {order - 1, order, order + 1} - {0}
+    for bound in sorted(bounds):
+        assert _period_of(den, P, bound) == order_of_x_mod(den, p, bound), \
+            (den, bound)
 
 
 def test_coeff_view_bounds_other_denominators_by_max_period():
