@@ -4,7 +4,8 @@ Every verb prints a stable line-oriented text form, or one JSON object
 with --json.  Exit status is 0 for any computed verdict (including
 negative ones), 1 for domain errors, 2 for malformed input.  A precision
 N above MAX_PRECISION or a digit count K above MAX_DIGITS is a domain
-error, refused before anything of that size is built.
+error, refused before anything of that size is built; the length of a
+digit list --y counts as K, that of a --series as N.
 """
 
 from __future__ import annotations
@@ -108,8 +109,12 @@ class OverBudget(OneUnitsError):
 def _check_budgets(args: argparse.Namespace) -> None:
     for name, label, ceiling in (("precision", "N", MAX_PRECISION),
                                  ("digits", "K", MAX_DIGITS),
-                                 ("exp_digits", "K", MAX_DIGITS)):
+                                 ("exp_digits", "K", MAX_DIGITS),
+                                 ("y", "K", MAX_DIGITS),
+                                 ("series", "N", MAX_PRECISION)):
         value = getattr(args, name, None)
+        if isinstance(value, str):      # a list: its comma-separated fields
+            value = value.count(",") + 1
         if value is not None and value > ceiling:
             raise OverBudget(
                 f"{label}={value} exceeds the budget {label} <= {ceiling}")

@@ -147,21 +147,25 @@ def _pascal_column(b: int, length: int, p: int) -> list[int]:
     return out
 
 
-def _lucas_kron(digit_vector, n: int, p: int) -> np.ndarray:
-    """The first n values of prod_i T_i[n_i] over the base-p digits n_i.
+def _lucas_kron(m: int, n: int, p: int, table=_pascal_row) -> np.ndarray:
+    """The first n values of prod_i table(m_i, .)[n_i] over the base-p digits.
 
-    digit_vector(i, length) gives T_i[0], ..., T_i[length - 1]; the values
-    are the Kronecker product of these vectors, digit 0 innermost.  Vector
-    i is cut to min(p, ceil(n / p^i)) entries, so a large p never needs a
-    p-long vector; digits with p^i >= n contribute T_i[0] = 1.
+    m_i and n_i are digit i of m and of the index n.  With the default
+    table, _pascal_row, value n is C(m, n) mod p; with _pascal_column it
+    is C(n, m) mod p.  The values are the Kronecker product of the digit
+    vectors, digit 0 innermost.  Vector i is cut to min(p, ceil(n / p^i))
+    entries, so a large p never needs a p-long vector.  Digits of m with
+    p^i >= n are not read, which is exact for _pascal_row (entry 0 is 1)
+    and for _pascal_column when m < n.
     """
     out = np.ones(1, dtype=np.int64)
-    i, q = 0, 1
+    q = 1
     while q < n:
-        row = np.array(digit_vector(i, min(p, -(-n // q))), dtype=np.int64)
+        m, digit = divmod(m, p)
+        row = np.array(table(digit, min(p, -(-n // q)), p), dtype=np.int64)
         out = np.multiply.outer(row, out).ravel()   # kron of two vectors
         out %= p
-        i, q = i + 1, q * p
+        q *= p
     return out[:n].copy()       # a view would keep up to 2n entries alive
 
 

@@ -88,7 +88,9 @@ class RationalFn:
             raise ValueError("denominator must have constant term 1")
         if not any(num):
             num, den = (0,), (1,)
-        elif _euclid(num, den, p, 0)[1] != 0:   # a zero remainder: gcd not 1
+        elif len(num) > 1 < len(den) and _euclid(num, den, p, 0)[1] != 0:
+            # a constant is coprime to anything; a zero remainder means a
+            # common factor
             raise ValueError("numerator and denominator must be coprime")
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)

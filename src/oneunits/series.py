@@ -194,8 +194,7 @@ class TruncSeries:
         if m >= n:
             raise PrecisionExhausted(
                 f"order {m} exceeds what precision {n} supports")
-        weights = _lucas_kron(
-            lambda i, length: _pascal_column(m // p**i % p, length, p), n, p)
+        weights = _lucas_kron(m, n, p, _pascal_column)
         return TruncSeries(self.modulus, self.coeffs[m:] * weights[m:] % p)
 
     def frobenius(self) -> "TruncSeries":

@@ -16,10 +16,11 @@ once p^K >= N.
 On top of those sit composition (a power f = (1+x)^y acts on g as g^y,
 by the same Frobenius product), automorphism inversion, the
 Hasse-derivative identity, and the rationality probes that compare what
-the digits of y say with what the coefficient stream of f shows.  The
-fraction a stream shows is usually (1+x)^m / 1 or 1 / (1+x)^(-m), with m
-read off x^(p^i) as well and verified by one product; the extended
-Euclid reconstructs it only when that reading fails.
+the digits of y say with what the coefficient stream of f shows.  Mod
+x^N the power depends only on Y = y mod q, q = p^k >= N, and
+(1+x)^Y (1+x)^(q-Y) = 1 + x^q = 1 there, so the stream of 1/(1+x)^e,
+e = q - Y, is read off the digits of y; the extended Euclid reconstructs
+the fraction of every other stream.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .errors import (
     TooLargeToEnumerate,
     WindowTooSmall,
 )
-from .fp import Prime, _lucas_kron, _pascal_row
-from .padic import IntegerVerdict, PadicApprox
+from .fp import Prime, _lucas_kron
+from .padic import IntegerVerdict, PadicApprox, _from_digits
 from .periodic import PeriodReport, find_period
 from .ratfn import RationalFn, _padded, from_pade, from_period
 from .series import TruncSeries, _convolve_mod
@@ -142,10 +143,10 @@ def pow_binomial(exponent: PadicApprox, precision: int) -> OneUnit:
     """
     _check_digit_window(exponent, precision)
     p = exponent.modulus.p
-    coeffs = _lucas_kron(
-        lambda i, length: _pascal_row(exponent.digits[i], length, p),
-        precision, p)
-    return OneUnit(TruncSeries(exponent.modulus, coeffs))
+    # the kernel reads digit i only where p^i < N, so i < N; a sum of all
+    # K digits takes time quadratic in K
+    y = _from_digits(exponent.digits[:precision], p)
+    return OneUnit(TruncSeries(exponent.modulus, _lucas_kron(y, precision, p)))
 
 
 def _frobenius_power(base: TruncSeries, digits: Iterable[int]) -> TruncSeries:
@@ -195,20 +196,17 @@ def pow_product(exponent: PadicApprox, precision: int) -> OneUnit:
     return OneUnit(_frobenius_power(one_plus_x, exponent.digits))
 
 
-def _read_digits(u: OneUnit) -> tuple[int, ...]:
-    """Digits i of y with p^i < N, read off at x^(p^i); 0 past x^N.
+def _read_off(u: OneUnit) -> tuple[PadicApprox, TruncSeries]:
+    """The y read off u and (1+x)^y mod x^N.
 
-    At N = 1 no coefficient is read: y is the digit 0.
+    Digit i of y, p^i < N, is the coefficient of x^(p^i); digits past x^N
+    are 0, and at N = 1 no coefficient is read: y is the digit 0.
     """
     p, n = u.modulus.p, u.precision
-    return tuple(u.coefficient(p**i) if p**i < n else 0
-                 for i in range(digits_for_precision(u.modulus, n)))
-
-
-def _read_off(u: OneUnit) -> tuple[PadicApprox, TruncSeries]:
-    """The read-off y of u (see :func:`_read_digits`) and (1+x)^y mod x^N."""
-    y = PadicApprox(u.modulus, _read_digits(u))
-    return y, pow_binomial(y, u.precision).series
+    y = PadicApprox(u.modulus, tuple(
+        u.coefficient(p**i) if p**i < n else 0
+        for i in range(digits_for_precision(u.modulus, n))))
+    return y, pow_binomial(y, n).series
 
 
 def recover_exponent(u: OneUnit) -> PadicApprox:
@@ -258,16 +256,6 @@ class BoxVerdict:
         return self.mismatch is None
 
 
-def _binomial_row(m: int, length: int, p: int) -> np.ndarray:
-    """(1+x)^m mod x^length for an integer m >= 0.
-
-    The binomials C(m, j) come straight from the Lucas kernel over the
-    base-p digits of m.
-    """
-    return _lucas_kron(lambda i, size: _pascal_row(m // p**i % p, size, p),
-                       length, p)
-
-
 def _hasse_row(f: TruncSeries, m: int, length: int) -> np.ndarray:
     """(1+x)^m D^m f mod x^length, for m < N and length <= N.
 
@@ -275,7 +263,7 @@ def _hasse_row(f: TruncSeries, m: int, length: int) -> np.ndarray:
     """
     p = f.modulus.p
     derivative = f.hasse_derivative(m).coeffs[:length]
-    shift = _binomial_row(m, min(length, m + 1), p)
+    shift = _lucas_kron(m, min(length, m + 1), p)
     return _convolve_mod(shift, derivative, length, p)
 
 
@@ -464,43 +452,13 @@ def _period_of(den: tuple[int, ...], modulus: Prime, bound: int) -> int | None:
     return None if report is None else report.period
 
 
-def _power_fraction(u: OneUnit, w: int, r: int) -> RationalFn | None:
-    """(1+x)^m / 1 or 1 / (1+x)^(-m), read off u, if u expands it.
-
-    m is read off u's digits at x^(p^i), Y = sum u_(p^i) p^i < q = p^K:
-    m = Y when Y <= W + R - 1, else m = Y - q, and only -R <= m is tried.
-    Either candidate has type (W + R - 1, R) and is reduced with Q(0) = 1,
-    so when it expands to u it is the very fraction :func:`from_pade`
-    would return; None sends the caller to the Euclid.
-    """
-    p = u.modulus.p
-    digits = _read_digits(u)
-    y = sum(d * p**i for i, d in enumerate(digits))
-    m = y if y <= w + r - 1 else y - p ** len(digits)
-    if m < -r:
+def _coeff_view(u: OneUnit, w: int,
+                r: int) -> tuple[PeriodReport, RationalFn] | None:
+    """The coefficient view of :func:`rationality_report` on any one-unit,
+    by the extended Euclid; W + 2R <= N is the caller's."""
+    fn = from_pade(u.modulus, u.series.coeffs, w + r - 1, r)
+    if fn is None or not _expands_to(fn, u.series):
         return None
-    power = tuple(_binomial_row(abs(m), abs(m) + 1, p).tolist())
-    fn = (RationalFn(u.modulus, power, (1,)) if m >= 0
-          else RationalFn(u.modulus, (1,), power))
-    return fn if _expands_to(fn, u.series) else None
-
-
-def _coeff_view(u: OneUnit, max_preperiod: int | None,
-                max_period: int | None) -> tuple[PeriodReport, RationalFn] | None:
-    """The coefficient view of :func:`rationality_report` on any one-unit."""
-    n = u.precision
-    w, r = _default_window(n, max_preperiod, max_period)
-    if w < 0 or r < 1:
-        raise ValueError("need max_preperiod >= 0 and max_period >= 1")
-    if w + 2 * r > n:
-        raise WindowTooSmall(
-            f"window of {n} coefficients cannot settle a fraction with "
-            f"preperiod {w} and denominator degree {r}: that needs {w + 2 * r}")
-    fn = _power_fraction(u, w, r)
-    if fn is None:
-        fn = from_pade(u.modulus, u.series.coeffs, w + r - 1, r)
-        if fn is None or not _expands_to(fn, u.series):
-            return None
     preperiod = max(0, len(fn.numerator) - len(fn.denominator) + 1)
     if preperiod > w:
         return None
@@ -562,19 +520,36 @@ def rationality_report(exponent: PadicApprox, precision: int,
     default), and accepts it when it re-expands to all N and its
     preperiod max(0, deg P - deg Q + 1) is at most W.  At most one such
     fraction fits W + 2R coefficients, so WindowTooSmall is raised when
-    W + 2R > N.  Usually it is (1+x)^m / 1 or 1 / (1+x)^(-m): m is read
-    off the coefficients at x^(p^i) and the candidate verified by one
-    product, and the extended Euclid of :func:`from_pade` runs only when
-    that fails.  R bounds the degree of the denominator, not the period:
-    1/(1+x)^e has period 2p^ceil(log_p e) (2^ceil(log_2 e) for p = 2),
+    W + 2R > N.  With Y = y mod q read off the first k digits of y,
+    q = p^k the least power >= N, the fraction 1/(1+x)^e, e = q - Y,
+    needs no search when e <= R: (1+x)^Y (1+x)^e = 1 + x^q = 1 mod x^N,
+    and it is the reduced fraction of that type.  Every other stream,
+    the polynomial (1+x)^Y included, goes to the extended Euclid of
+    :func:`from_pade`.  R bounds the degree of the denominator, not the
+    period: 1/(1+x)^e has period 2p^ceil(log_p e) (2^ceil(log_2 e) for p = 2),
     which may exceed R and even N/2.  A denominator that is not a power
     of 1+x is accepted only with period at most R.  Wherever
     :func:`detect_coeff_period` with the same bounds finds a period, the
     report is that period and its :func:`coeffs_to_rational` fraction.
     """
-    u = pow_binomial(exponent, precision)
+    modulus, n = exponent.modulus, precision
+    u = pow_binomial(exponent, n)
     verdict = _integer_view(exponent)
-    view = _coeff_view(u, max_preperiod, max_period)
+    w, r = _default_window(n, max_preperiod, max_period)
+    if w < 0 or r < 1:
+        raise ValueError("need max_preperiod >= 0 and max_period >= 1")
+    if w + 2 * r > n:
+        raise WindowTooSmall(
+            f"window of {n} coefficients cannot settle a fraction with "
+            f"preperiod {w} and denominator degree {r}: that needs {w + 2 * r}")
+    k = digits_for_precision(modulus, n)
+    e = modulus.p ** k - exponent.truncate(k).value
+    if e <= r:
+        den = tuple(_lucas_kron(e, e + 1, modulus.p).tolist())
+        view = (PeriodReport(0, _period_of(den, modulus, r)),
+                RationalFn(modulus, (1,), den))
+    else:
+        view = _coeff_view(u, w, r)
     report, fn = view if view is not None else (None, None)
     return RationalityReport(
         integer_verdict=verdict,
@@ -599,6 +574,6 @@ def enumerate_endomorphisms(modulus: Prime, precision: int) -> list[OneUnit]:
     if count > 1 << 20:
         raise TooLargeToEnumerate(
             f"{count} candidates at p={p}, N={n}; refusing beyond 2^20")
-    powers = (OneUnit(TruncSeries(modulus, _binomial_row(m, n, p)))
+    powers = (OneUnit(TruncSeries(modulus, _lucas_kron(m, n, p)))
               for m in range(n))
     return sorted(powers, key=lambda u: u.series.coeffs.tolist())

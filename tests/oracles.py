@@ -3,9 +3,8 @@
 Everything here is deliberately naive: Pascal's triangle instead of digit
 products, schoolbook convolution instead of numpy, long division for digit
 streams, square-and-multiply over full-length series instead of Frobenius
-products, a Newton inverse instead of the expansion of (1+x)^(-y), the
-built N-by-N box instead of its read-off, and the extended Euclid on every
-stream instead of the read-off fraction (1+x)^m.  Slow but obviously
+products, a Newton inverse instead of the expansion of (1+x)^(-y), and
+the built N-by-N box instead of its read-off.  Slow but obviously
 correct.
 """
 
@@ -15,11 +14,8 @@ from math import gcd
 
 import numpy as np
 
-from oneunits import (ModulusMismatch, PadicApprox, PeriodReport, Prime,
-                      ShapeMismatch, TruncSeries, digits_for_precision,
-                      pow_binomial)
-from oneunits.ratfn import from_pade
-from oneunits.units import _expands_to, _period_of
+from oneunits import (ModulusMismatch, PadicApprox, Prime, ShapeMismatch,
+                      TruncSeries, digits_for_precision, pow_binomial)
 
 
 def pascal_binom(n: int, k: int, p: int) -> int:
@@ -87,24 +83,6 @@ def newton_residual_stage(coeffs, p: int):
         common //= p
         stage += 1
     return stage
-
-
-def pade_coeff_view(u, w: int, r: int):
-    """The coefficient view of rationality_report by the extended Euclid.
-
-    The fraction of type (W + R - 1, R) that the first W + 2R coefficients
-    admit, kept when its preperiod is at most W, it expands to all N
-    coefficients and the order of x modulo its denominator is found:
-    (PeriodReport, RationalFn), or None.  W + 2R <= N is the caller's.
-    """
-    fn = from_pade(u.modulus, u.series.coeffs, w + r - 1, r)
-    if fn is None:
-        return None
-    preperiod = max(0, len(fn.numerator) - len(fn.denominator) + 1)
-    if preperiod > w or not _expands_to(fn, u.series):
-        return None
-    period = _period_of(fn.denominator, u.modulus, r)
-    return None if period is None else (PeriodReport(preperiod, period), fn)
 
 
 def fraction_digits(value: Fraction, p: int, k: int) -> tuple:

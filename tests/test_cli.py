@@ -363,8 +363,9 @@ def _forbid_building(monkeypatch):
     """Make every path that would build digits or coefficients raise."""
     def reached(*args, **kwargs):
         raise AssertionError("the size reached a builder")
-    for name in ("_parse_exponent", "pow_binomial", "pow_product",
-                 "rationality_report", "enumerate_endomorphisms"):
+    for name in ("_parse_exponent", "_parse_series", "pow_binomial",
+                 "pow_product", "rationality_report",
+                 "enumerate_endomorphisms"):
         monkeypatch.setattr(cli, name, reached)
 
 
@@ -383,6 +384,50 @@ def test_size_budgets_admit_the_ceiling(monkeypatch, argv):
     at_ceiling = [str(int(a) - 1) if a in over else a for a in argv]
     with pytest.raises(AssertionError, match="reached a builder"):
         main(at_ceiling)
+
+
+def _fives(count):
+    """A digit list or bare series of count fields, 5,5,...,5,0,0."""
+    return ",".join(["5"] * (count - 2) + ["0", "0"])
+
+
+def _full_series(count):
+    return f"p=7;N={count};coeffs={_fives(count)}"
+
+
+# (label, argv holding a list of the given length, the list's ceiling)
+OVER_LONG_LISTS = [
+    ("K", lambda c: ["rationality", "-p", "2147483647", "-N", "8",
+                     "--y", _fives(c)], cli.MAX_DIGITS),
+    ("K", lambda c: ["rationality", "-p", "7", "-N", "8", "--y", _fives(c),
+                     "--json"], cli.MAX_DIGITS),
+    ("K", lambda c: ["digits", "-p", "2147483647", "-K", "3",
+                     "--y", _fives(c)], cli.MAX_DIGITS),
+    ("K", lambda c: ["pow", "-p", "7", "-N", "8", "--y", _fives(c)],
+     cli.MAX_DIGITS),
+    ("N", lambda c: ["recover", "-p", "7", "--series", _fives(c)],
+     cli.MAX_PRECISION),
+    ("N", lambda c: ["hasse", "--series", _full_series(c), "-m", "1"],
+     cli.MAX_PRECISION),
+    ("N", lambda c: ["detect-period", "--series", _full_series(c)],
+     cli.MAX_PRECISION),
+]
+
+
+@pytest.mark.parametrize("label, argv, ceiling", OVER_LONG_LISTS, ids=[
+    "rationality", "rationality-json", "digits", "pow", "recover",
+    "hasse-full-form", "detect-period-full-form"])
+def test_list_lengths_count_against_the_budgets(monkeypatch, capsys, label,
+                                                argv, ceiling):
+    """A digit list --y counts as K and a --series as N: one field past
+    the ceiling is refused before anything is built, the ceiling is not."""
+    _forbid_building(monkeypatch)
+    code, out, err = run(capsys, *argv(ceiling + 1))
+    assert (code, out) == (1, "")
+    assert err == f"{label}={ceiling + 1} exceeds the budget " \
+                  f"{label} <= {ceiling}\n"
+    with pytest.raises(AssertionError, match="reached a builder"):
+        main(argv(ceiling))
 
 
 def _decimal(n):

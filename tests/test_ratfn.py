@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from oneunits import (PeriodReport, Prime, RationalFn, TruncSeries,
                       find_period, from_period)
-from oneunits.ratfn import from_pade
+from oneunits import ratfn
+from oneunits.ratfn import _euclid, from_pade
 from oracles import order_of_x_mod
 
 P2, P3 = Prime(2), Prime(3)
@@ -29,6 +30,35 @@ def test_common_factor_rejected_in_either_degree_order(p):
         RationalFn(Prime(p), one_minus_x, (1, 0, 0, p - 1))
     with pytest.raises(ValueError, match="coprime"):     # (1 - x)(1 + 2x) over
         RationalFn(Prime(p), (1, 1, p - 2), one_minus_x)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_construction_accepts_exactly_the_coprime_pairs(p):
+    """Accepted exactly when the numerator is zero or the Euclid on the
+    two sides ends in a nonzero constant, as when every construction ran
+    it."""
+    rng = random.Random(p)
+    for _ in range(500):
+        num = tuple(rng.randrange(p) for _ in range(rng.randint(1, 4)))
+        den = (1,) + tuple(rng.randrange(p) for _ in range(rng.randint(0, 3)))
+        coprime = not any(num) or _euclid(num, den, p, 0)[1] == 0
+        try:
+            RationalFn(Prime(p), num, den)
+        except ValueError:
+            assert not coprime, (num, den)
+        else:
+            assert coprime, (num, den)
+
+
+def test_a_constant_side_needs_no_euclid(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Euclid ran")
+    monkeypatch.setattr(ratfn, "_euclid", refuse)
+    assert RationalFn(P3, (1,), (1, 2, 1)).denominator == (1, 2, 1)
+    assert RationalFn(P3, (2, 0, 1, 0), (1, 0)).numerator == (2, 0, 1)
+    assert RationalFn(P3, (0, 0), (1, 1)).numerator == (0,)
+    with pytest.raises(AssertionError, match="the Euclid ran"):
+        RationalFn(P3, (1, 1), (1, 2))
 
 
 def test_trailing_zeros_trimmed():

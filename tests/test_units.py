@@ -17,11 +17,11 @@ from oneunits import (ModulusMismatch, NonUnitExponent, NotAnEndomorphism,
                       is_automorphism, is_endomorphism_bivariate,
                       is_endomorphism_via_theorem, pow_binomial, pow_product,
                       rationality_report, recover_exponent)
-from oneunits.units import (_coeff_view, _integer_view, _period_of,
-                            _power_fraction, _read_off)
+from oneunits import units
+from oneunits.units import _coeff_view, _integer_view, _period_of, _read_off
 from oracles import (brute_period, newton_residual_stage, order_of_x_mod,
-                     outer_product, pade_coeff_view, pascal_binom,
-                     squaring_pow_product, staged_descent, subst_group_law)
+                     outer_product, pascal_binom, squaring_pow_product,
+                     staged_descent, subst_group_law)
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -788,42 +788,46 @@ def test_coeff_view_bounds_other_denominators_by_max_period():
     assert fn == RationalFn(P2, (1,), (1, 1, 0, 0, 1))
 
 
-def _draw_stream(data, p, n):
-    """(1+x)^Y with Y near 0, near q = p^K or uniform below q, a power with
-    one coefficient changed, or an arbitrary one-unit."""
+def _draw_power(data, p, n):
+    """(1+x)^Y with Y near 0, near q = p^K or uniform below q, its exponent
+    given with one or two digits to spare (the tail rule reads two)."""
     k = digits_for_precision(Prime(p), n)
     q = p ** k
-    kind = data.draw(st.sampled_from(
-        ["near 0", "near q", "digits", "perturbed", "arbitrary"]), label="kind")
-    if kind == "arbitrary":
-        return unit(p, [1] + data.draw(st.lists(
-            st.integers(0, p - 1), min_size=n - 1, max_size=n - 1)))
+    kind = data.draw(st.sampled_from(["near 0", "near q", "uniform"]),
+                     label="kind")
     if kind == "near 0":
         y = data.draw(st.integers(0, min(n, q - 1)), label="Y")
     elif kind == "near q":
         y = q - data.draw(st.integers(1, min(n + 1, q)), label="q - Y")
     else:
         y = data.draw(st.integers(0, q - 1), label="Y")
-    coeffs = pow_binomial(exp_int(p, y, k), n).series.coeffs.tolist()
-    if kind == "perturbed":
-        j = data.draw(st.integers(1, n - 1), label="j")
-        coeffs[j] = (coeffs[j] + data.draw(st.integers(1, p - 1))) % p
-    return unit(p, coeffs)
+    y += q * data.draw(st.integers(0, p * p - 1), label="above q")
+    return exp_int(p, y, k + data.draw(st.integers(1, 2), label="spare"))
+
+
+def _reported_view(exponent, n, w, r):
+    report = rationality_report(exponent, n, w, r)
+    if report.coeff_period is None:
+        assert report.rational is None
+        return None
+    return report.coeff_period, report.rational
 
 
 @given(SMALL_OR_LARGE_PRIME, st.data())
 def test_coeff_view_matches_the_pade_oracle(pn, data):
-    """Reading (1+x)^m off the stream gives the Euclid's report exactly.
+    """The report's coefficient view is the extended Euclid's on (1+x)^y,
+    whether 1/(1+x)^(q-Y) is read off or the Euclid runs.
 
     Windows W + 2R <= N, half of them tight (W + 2R = N - 1 or N).
     """
     p, n = pn
     n = max(n, 2)
-    u = _draw_stream(data, p, n)
+    exponent = _draw_power(data, p, n)
     w = data.draw(st.integers(0, n - 2), label="W")
     top = (n - w) // 2
     r = data.draw(st.one_of(st.just(top), st.integers(1, top)), label="R")
-    assert _coeff_view(u, w, r) == pade_coeff_view(u, w, r)
+    assert _reported_view(exponent, n, w, r) == \
+        _coeff_view(pow_binomial(exponent, n), w, r)
 
 
 COEFF_VIEW_GRID = ((2, 16), (2, 12), (3, 9), (3, 7), (5, 5), (5, 8), (7, 7))
@@ -834,45 +838,58 @@ def test_coeff_view_matches_the_pade_oracle_exhaustively():
     for p, n in COEFF_VIEW_GRID:
         k = digits_for_precision(Prime(p), n)
         for y in range(p ** k):
-            u = pow_binomial(exp_int(p, y, k), n)
+            exponent = exp_int(p, y, k + 1)
+            u = pow_binomial(exponent, n)
             for w in range(n - 1):
                 for r in range(1, (n - w) // 2 + 1):
-                    assert _coeff_view(u, w, r) == pade_coeff_view(u, w, r), \
-                        (p, n, y, w, r)
+                    assert _reported_view(exponent, n, w, r) == \
+                        _coeff_view(u, w, r), (p, n, y, w, r)
 
 
 @pytest.mark.parametrize("p, n, w, r", [(3, 256, 32, 112), (5, 256, 32, 112),
                                         (2, 64, 8, 8), (3, 81, 5, 20),
                                         (5, 30, 2, 14)])
-def test_power_fraction_reads_exactly_the_type_range(p, n, w, r):
-    """(1+x)^m is read off for -R <= m <= W + R - 1 and for no other m;
-    outside, the Euclid is left to find what fits.  The first two windows
-    are criterion 7's; in each, W + 2R < q, so no two m here are equal
-    mod q."""
+def test_power_fraction_reads_exactly_the_type_range(p, n, w, r, monkeypatch):
+    """1/(1+x)^(q-Y) is read off for 1 <= q - Y <= R and for no other Y;
+    every other stream, the polynomials (1+x)^Y included, goes to the
+    Euclid.  The first two windows are criterion 7's."""
     k = digits_for_precision(Prime(p), n)
-    for m in (-r - 1, -r, -1, 0, 1, w + r - 1, w + r):
-        fn = _power_fraction(pow_binomial(exp_int(p, m, k), n), w, r)
-        if -r <= m <= w + r - 1:
-            power = pow_binomial(exp_int(p, abs(m), k), abs(m) + 1)
-            power = tuple(power.series.coeffs.tolist())
-            assert fn == (RationalFn(Prime(p), power, (1,)) if m >= 0
-                          else RationalFn(Prime(p), (1,), power))
+    q = p ** k
+    euclid_calls = []
+
+    def counting_view(u, w, r):
+        euclid_calls.append(u)
+        return _coeff_view(u, w, r)
+
+    monkeypatch.setattr(units, "_coeff_view", counting_view)
+    for e in (r + 1, r, 1, q, q - 1, q - w - r + 1, q - w - r):
+        exponent = exp_int(p, q - e, k)
+        euclid_calls.clear()
+        report = rationality_report(exponent, n, w, r)
+        if 1 <= e <= r:
+            assert not euclid_calls
+            power = pow_binomial(exp_int(p, e, k), e + 1)
+            den = tuple(power.series.coeffs.tolist())
+            assert report.rational == RationalFn(Prime(p), (1,), den)
+            assert report.coeff_period == \
+                PeriodReport(0, _period_of(den, Prime(p), r))
         else:
-            assert fn is None
+            assert len(euclid_calls) == 1
+        assert _reported_view(exponent, n, w, r) == \
+            _coeff_view(pow_binomial(exponent, n), w, r)
 
 
 def test_coeff_view_falls_back_to_the_euclid():
-    """(1+x)^9 over F_2 at N = 12, W = 6, R = 3 is neither reading.
-
-    9 > W + R - 1 and 9 - 16 < -R, so only the Euclid finds
-    (1 + x^4 + x^8) / (1 + x)^3, of preperiod 6 and period 4.
+    """(1+x)^9 over F_2 at N = 12, W = 6, R = 3 is no inverse power:
+    q - 9 = 7 > R, so the Euclid finds (1 + x^4 + x^8) / (1 + x)^3, of
+    preperiod 6 and period 4.
     """
-    u = pow_binomial(exp_int(2, 9, 4), 12)
-    assert _power_fraction(u, 6, 3) is None
-    report, fn = _coeff_view(u, 6, 3)
-    assert fn == RationalFn(P2, (1, 0, 0, 0, 1, 0, 0, 0, 1), (1, 1, 1, 1))
-    assert report == PeriodReport(6, 4)
-    assert (report, fn) == pade_coeff_view(u, 6, 3)
+    exponent = exp_int(2, 9, 4)
+    report = rationality_report(exponent, 12, 6, 3)
+    fn = RationalFn(P2, (1, 0, 0, 0, 1, 0, 0, 0, 1), (1, 1, 1, 1))
+    assert (report.coeff_period, report.rational) == (PeriodReport(6, 4), fn)
+    assert _coeff_view(pow_binomial(exponent, 12), 6, 3) == \
+        (PeriodReport(6, 4), fn)
 
 
 @pytest.mark.parametrize("y, k", [(Fraction(1, 5), 10), (Fraction(1, 5), 12),
