@@ -4,10 +4,8 @@ __all__ = [
     "OneUnitsError",
     "ModulusMismatch",
     "ShapeMismatch",
-    "DivisionByZero",
     "NonUnitConstantTerm",
     "PrecisionExhausted",
-    "NotAPthPower",
     "NonzeroConstantInner",
     "DenominatorNotCoprime",
     "NonUnitExponent",
@@ -30,20 +28,12 @@ class ShapeMismatch(OneUnitsError):
     """Operands carry different truncation precisions."""
 
 
-class DivisionByZero(OneUnitsError, ZeroDivisionError):
-    """Multiplicative inverse of the zero residue."""
-
-
 class NonUnitConstantTerm(OneUnitsError):
     """Series inversion needs a nonzero constant term."""
 
 
 class PrecisionExhausted(OneUnitsError):
     """The operation needs more digits or coefficients than the operand carries."""
-
-
-class NotAPthPower(OneUnitsError):
-    """A nonzero coefficient sits at an index not divisible by p."""
 
 
 class NonzeroConstantInner(OneUnitsError):

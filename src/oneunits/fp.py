@@ -1,10 +1,10 @@
-"""Arithmetic in the prime field F_p.
+"""The prime field F_p: its modulus and binomials mod p.
 
-Residues are plain integers in [0, p).  :class:`FpElement` ties a residue to
-its (validated) modulus so that mixed-modulus arithmetic fails loudly.  The
-binomial helpers work digit-by-digit in base p and never divide by p, which
-keeps them valid in characteristic p; one Lucas kernel expands whole runs.
-The serialized forms of the package share one field parser.
+Residues are plain integers in [0, p) and :class:`Prime` is the validated
+modulus.  Binomials mod p come from one Lucas kernel: a Kronecker product
+of single-digit Pascal rows or columns, which never divides by p and so
+stays valid in characteristic p.  The serialized forms of the package
+share one field parser.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import DivisionByZero, ModulusMismatch
-
-__all__ = ["Prime", "FpElement", "binom_digit", "lucas_binom"]
+__all__ = ["Prime"]
 
 
 @dataclass(frozen=True)
@@ -33,102 +31,12 @@ class Prime:
             raise ValueError(f"modulus must lie in [2, 2^31], got {p}")
         if p > 2 and p % 2 == 0:
             raise ValueError(f"{p} is not prime")
-        d = 3
-        while d <= isqrt(p):
+        for d in range(3, isqrt(p) + 1, 2):
             if p % d == 0:
                 raise ValueError(f"{p} is not prime")
-            d += 2
-
-    def element(self, value: int) -> "FpElement":
-        """Reduce an arbitrary integer into F_p."""
-        return FpElement(value % self.p, self)
 
     def __str__(self) -> str:
         return str(self.p)
-
-
-@dataclass(frozen=True)
-class FpElement:
-    """A residue in [0, p) together with its modulus."""
-
-    value: int
-    modulus: Prime
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, int) or isinstance(self.value, bool):
-            raise ValueError(f"residue must be an integer, got {self.value!r}")
-        if not 0 <= self.value < self.modulus.p:
-            raise ValueError(
-                f"residue {self.value} out of range for p={self.modulus.p}")
-
-    def _check(self, other: "FpElement") -> None:
-        if self.modulus != other.modulus:
-            raise ModulusMismatch(
-                f"p={self.modulus.p} vs p={other.modulus.p}")
-
-    def __add__(self, other: "FpElement") -> "FpElement":
-        self._check(other)
-        return FpElement((self.value + other.value) % self.modulus.p, self.modulus)
-
-    def __sub__(self, other: "FpElement") -> "FpElement":
-        self._check(other)
-        return FpElement((self.value - other.value) % self.modulus.p, self.modulus)
-
-    def __neg__(self) -> "FpElement":
-        return FpElement(-self.value % self.modulus.p, self.modulus)
-
-    def __mul__(self, other: "FpElement") -> "FpElement":
-        self._check(other)
-        return FpElement(self.value * other.value % self.modulus.p, self.modulus)
-
-    def inv(self) -> "FpElement":
-        if self.value == 0:
-            raise DivisionByZero("0 has no inverse in F_p")
-        return FpElement(pow(self.value, -1, self.modulus.p), self.modulus)
-
-    def __pow__(self, exponent: int) -> "FpElement":
-        if exponent < 0:
-            return self.inv() ** (-exponent)
-        return FpElement(pow(self.value, exponent, self.modulus.p), self.modulus)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def _binom_digit(a: int, b: int, p: int) -> int:
-    # single base-p digits, so the multiplicative formula never meets p
-    if b > a:
-        return 0
-    b = min(b, a - b)
-    num = den = 1
-    for i in range(b):
-        num = num * (a - i) % p
-        den = den * (i + 1) % p
-    return num * pow(den, -1, p) % p
-
-
-def binom_digit(a: int, b: int, modulus: Prime) -> FpElement:
-    """C(a, b) mod p for single base-p digits a and b."""
-    p = modulus.p
-    if not (0 <= a < p and 0 <= b < p):
-        raise ValueError(f"digits must lie in [0, {p}), got a={a}, b={b}")
-    return FpElement(_binom_digit(a, b, p), modulus)
-
-
-def lucas_binom(n: int, k: int, modulus: Prime) -> FpElement:
-    """C(n, k) mod p for nonnegative integers, as a base-p digit product."""
-    if n < 0 or k < 0:
-        raise ValueError("lucas_binom expects nonnegative arguments")
-    p = modulus.p
-    out = 1
-    while (n or k) and out:
-        n, nd = divmod(n, p)
-        k, kd = divmod(k, p)
-        out = out * _binom_digit(nd, kd, p) % p
-    return FpElement(out, modulus)
 
 
 def _pascal_row(a: int, length: int, p: int) -> list[int]:

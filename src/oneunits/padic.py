@@ -20,7 +20,7 @@ from .errors import (
     PrecisionExhausted,
     WindowTooSmall,
 )
-from .fp import FpElement, Prime, _parse_fields, lucas_binom
+from .fp import Prime, _parse_fields
 from .periodic import PeriodReport, find_period
 
 __all__ = ["PadicApprox", "IntegerVerdict"]
@@ -150,21 +150,6 @@ class PadicApprox:
         mod = self.modulus.p**self.precision
         return PadicApprox.from_value(
             self.modulus, pow(self.value, -1, mod), self.precision)
-
-    # -- binomials -----------------------------------------------------------
-
-    def binom(self, n: int) -> FpElement:
-        """C(y, n) mod p for this approximation y, via digit products.
-
-        K digits pin C(y, n) down for every n < p^K; beyond that the digits
-        of n would reach past the window.
-        """
-        if n < 0:
-            raise ValueError("binom expects a nonnegative index")
-        if n >= self.modulus.p**self.precision:
-            raise PrecisionExhausted(
-                f"{self.precision} digits determine C(y, n) only for n < p^{self.precision}")
-        return lucas_binom(self.value, n, self.modulus)
 
     # -- window decisions ------------------------------------------------------
 

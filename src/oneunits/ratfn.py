@@ -101,14 +101,6 @@ class RationalFn:
         den = TruncSeries(self.modulus, _padded(self.denominator, precision))
         return num * den.invert()
 
-    def equivalent(self, other: "RationalFn") -> bool:
-        """Whether both are the same fraction over the same field.
-
-        This is plain equality: a fraction has one reduced form with
-        denominator constant term 1, and both sides are kept in it.
-        """
-        return self == other
-
     def serialize(self) -> str:
         num = ",".join(str(v) for v in self.numerator)
         den = ",".join(str(v) for v in self.denominator)

@@ -4,8 +4,8 @@ A :class:`TruncSeries` stores its coefficients densely as a read-only numpy
 vector of residues; index n holds the coefficient of x^n and the vector
 length is the precision N.  Precision is explicit and sticky: binary
 operations demand equal precision (lower one explicitly with
-:meth:`TruncSeries.truncate`), while the Hasse derivative and the p-th root
-return results at the reduced precision those operations support.
+:meth:`TruncSeries.truncate`), while the Hasse derivative of order m
+returns its result at the reduced precision N - m it supports.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import (
     ModulusMismatch,
     NonUnitConstantTerm,
     NonzeroConstantInner,
-    NotAPthPower,
     PrecisionExhausted,
     ShapeMismatch,
 )
@@ -135,10 +134,6 @@ class TruncSeries:
         prod = _convolve_mod(self.coeffs, other.coeffs, self.precision, self.modulus.p)
         return TruncSeries(self.modulus, prod)
 
-    def scaled(self, c: int) -> "TruncSeries":
-        """Multiply every coefficient by the integer c (reduced mod p)."""
-        return TruncSeries(self.modulus, self.coeffs * (c % self.modulus.p) % self.modulus.p)
-
     def pow_int(self, e: int) -> "TruncSeries":
         """Nonnegative integer power by square-and-multiply."""
         if e < 0:
@@ -196,23 +191,6 @@ class TruncSeries:
                 f"order {m} exceeds what precision {n} supports")
         weights = _lucas_kron(m, n, p, _pascal_column)
         return TruncSeries(self.modulus, self.coeffs[m:] * weights[m:] % p)
-
-    def frobenius(self) -> "TruncSeries":
-        """Substitute x -> x^p (the p-th power map on 1-units)."""
-        n, p = self.precision, self.modulus.p
-        out = np.zeros(n, dtype=np.int64)
-        out[::p] = self.coeffs[: (n - 1) // p + 1]
-        return TruncSeries(self.modulus, out)
-
-    def pth_root(self) -> "TruncSeries":
-        """Invert frobenius.  Precision drops to floor((N-1)/p) + 1."""
-        n, p = self.precision, self.modulus.p
-        mask = np.ones(n, dtype=bool)
-        mask[::p] = False
-        bad = np.nonzero(self.coeffs * mask)[0]
-        if bad.size:
-            raise NotAPthPower(f"nonzero coefficient at x^{int(bad[0])}")
-        return TruncSeries(self.modulus, self.coeffs[::p])
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
         """f(inner) for an inner series with zero constant term (Horner)."""

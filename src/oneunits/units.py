@@ -533,7 +533,9 @@ def rationality_report(exponent: PadicApprox, precision: int,
     report is that period and its :func:`coeffs_to_rational` fraction.
     """
     modulus, n = exponent.modulus, precision
-    u = pow_binomial(exponent, n)
+    _check_digit_window(exponent, n)
+    if n < 1:                     # pow_binomial's error at N <= 0
+        raise ValueError("coefficient vector must be 1-d and nonempty")
     verdict = _integer_view(exponent)
     w, r = _default_window(n, max_preperiod, max_period)
     if w < 0 or r < 1:
@@ -549,7 +551,7 @@ def rationality_report(exponent: PadicApprox, precision: int,
         view = (PeriodReport(0, _period_of(den, modulus, r)),
                 RationalFn(modulus, (1,), den))
     else:
-        view = _coeff_view(u, w, r)
+        view = _coeff_view(pow_binomial(exponent, n), w, r)
     report, fn = view if view is not None else (None, None)
     return RationalityReport(
         integer_verdict=verdict,

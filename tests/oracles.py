@@ -85,6 +85,13 @@ def newton_residual_stage(coeffs, p: int):
     return stage
 
 
+def frobenius(coeffs, p: int) -> list:
+    """f(x^p) mod x^N on a plain coefficient list: c_n moves to x^(np)."""
+    out = [0] * len(coeffs)
+    out[::p] = coeffs[:(len(coeffs) - 1) // p + 1]
+    return out
+
+
 def fraction_digits(value: Fraction, p: int, k: int) -> tuple:
     """First k base-p digits of a p-adic rational, by long division.
 

@@ -533,3 +533,19 @@ def test_any_argv_keeps_the_exit_contract(argv):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# -- golden transcript ------------------------------------------------------
+
+GOLDEN = [json.loads(line) for line in
+          (Path(__file__).parent / "data" / "cli_golden.jsonl").open()]
+
+
+@pytest.mark.parametrize(
+    "entry", GOLDEN,
+    ids=[f"{i:02d}-{entry['argv'][0]}" for i, entry in enumerate(GOLDEN)])
+def test_golden_transcript(capsys, entry):
+    """Every verb, text and --json, exit codes 0, 1 and 2: stdout, stderr
+    and exit code as recorded by tests/data/make_cli_golden.py."""
+    assert run(capsys, *entry["argv"]) == \
+        (entry["exit"], entry["stdout"], entry["stderr"])

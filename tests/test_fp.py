@@ -1,13 +1,25 @@
-"""Prime-field scalars and digit binomials."""
+"""The prime modulus, F_p as F_p[[x]] / x, and the Lucas digit kernel."""
+
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from oneunits import (DivisionByZero, FpElement, ModulusMismatch, Prime,
-                      binom_digit, lucas_binom)
+from oneunits import (ModulusMismatch, NonUnitConstantTerm, Prime,
+                      TruncSeries)
+from oneunits.fp import _lucas_kron, _pascal_column, _pascal_row
 from oracles import pascal_binom
 
 P2, P3, P5, P7 = Prime(2), Prime(3), Prime(5), Prime(7)
+
+
+def scalar(modulus, value):
+    """value mod p in F_p, the precision-1 series ring F_p[[x]] / x."""
+    return TruncSeries.from_ints(modulus, [value])
+
+
+def value(s):
+    return s.coefficient(0)
 
 
 def test_prime_accepts_primes():
@@ -21,82 +33,117 @@ def test_prime_rejects_composites_and_small():
             Prime(bad)
 
 
+@pytest.mark.parametrize("p, prime", [
+    (2, True), (3, True), (4, False), (9, False), (25, False),
+    (2**31 - 1, True), (2147483629, True), (2**31, False),
+    (46337**2, False),          # a prime squared: the last divisor is isqrt(p)
+])
+def test_prime_verdicts_at_the_trial_division_bounds(p, prime):
+    if prime:
+        assert Prime(p).p == p
+    else:
+        with pytest.raises(ValueError, match="is not prime"):
+            Prime(p)
+
+
 def test_add_frozen():
-    assert int(P2.element(1) + P2.element(1)) == 0
-    assert int(P3.element(2) + P3.element(2)) == 1
-    assert int(P5.element(0) + P5.element(4)) == 4
+    assert value(scalar(P2, 1) + scalar(P2, 1)) == 0
+    assert value(scalar(P3, 2) + scalar(P3, 2)) == 1
+    assert value(scalar(P5, 0) + scalar(P5, 4)) == 4
 
 
 def test_mul_frozen():
-    assert int(P3.element(2) * P3.element(2)) == 1
-    assert int(P5.element(1) * P5.element(3)) == 3
-    assert int(P7.element(3) * P7.element(5)) == 1
+    assert value(scalar(P3, 2) * scalar(P3, 2)) == 1
+    assert value(scalar(P5, 1) * scalar(P5, 3)) == 3
+    assert value(scalar(P7, 3) * scalar(P7, 5)) == 1
 
 
 def test_inverse_frozen():
-    assert int(P2.element(1).inv()) == 1
-    assert int(P5.element(2).inv()) == 3
-    assert int(P7.element(3).inv()) == 5
+    assert value(scalar(P2, 1).invert()) == 1
+    assert value(scalar(P5, 2).invert()) == 3
+    assert value(scalar(P7, 3).invert()) == 5
 
 
 def test_inverse_of_zero():
-    with pytest.raises(DivisionByZero):
-        P5.element(0).inv()
+    with pytest.raises(NonUnitConstantTerm):
+        scalar(P5, 0).invert()
 
 
 def test_mixed_moduli_rejected():
     with pytest.raises(ModulusMismatch):
-        P2.element(1) + P3.element(1)
+        scalar(P2, 1) + scalar(P3, 1)
     with pytest.raises(ModulusMismatch):
-        P5.element(2) * P7.element(2)
+        scalar(P5, 2) * scalar(P7, 2)
 
 
 def test_element_range_checked():
     with pytest.raises(ValueError):
-        FpElement(3, P3)
+        TruncSeries(P3, [3])
     with pytest.raises(ValueError):
-        FpElement(-1, P3)
-
-
-def test_binom_digit_frozen():
-    assert int(binom_digit(4, 2, P5)) == 1
-    assert int(binom_digit(1, 2, P3)) == 0
-    assert int(binom_digit(6, 3, P7)) == 6
-
-
-def test_binom_digit_wants_single_digits():
-    with pytest.raises(ValueError):
-        binom_digit(5, 1, P5)
-    with pytest.raises(ValueError):
-        binom_digit(2, -1, P3)
-
-
-def test_lucas_matches_pascal():
-    """Digit-product binomials agree with the additive triangle."""
-    for P in (P2, P3, P5, P7):
-        for n in range(0, 60):
-            for k in range(0, n + 1):
-                assert int(lucas_binom(n, k, P)) == pascal_binom(n, k, P.p)
-
-
-def test_lucas_out_of_range_is_zero():
-    assert int(lucas_binom(3, 5, P2)) == 0
+        TruncSeries(P3, [-1])
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 6), st.integers(0, 6),
        st.integers(0, 6))
 def test_field_axioms(p, a, b, c):
     P = Prime(p)
-    x, y, z = P.element(a % p), P.element(b % p), P.element(c % p)
-    assert int((x + y) + z) == int(x + (y + z))
-    assert int(x * (y + z)) == int(x * y + x * z)
-    assert int(x - y) == int(x + (-y))
-    if int(x) != 0:
-        assert int(x * x.inv()) == 1
+    x, y, z = scalar(P, a), scalar(P, b), scalar(P, c)
+    assert (x + y) + z == x + (y + z)
+    assert x * (y + z) == x * y + x * z
+    assert x - y == x + (-y)
+    if value(x) != 0:
+        assert value(x * x.invert()) == 1
 
 
-@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 100))
-def test_frobenius_fixes_scalars(p, a):
-    P = Prime(p)
-    x = P.element(a % p)
-    assert int(x ** p) == int(x)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 100), st.integers(1, 12))
+def test_frobenius_fixes_scalars(p, a, n):
+    """a^p = a in F_p, so the p-th power fixes constant series."""
+    c = TruncSeries.constant(Prime(p), n, a)
+    assert c.pow_int(p) == c
+
+
+# -- the Lucas kernel -------------------------------------------------------
+
+def test_binom_digit_frozen():
+    assert _pascal_row(4, 5, 5)[2] == 1        # C(4, 2) = 6
+    assert _pascal_row(1, 3, 3)[2] == 0        # C(1, 2) = 0
+    assert _pascal_row(6, 7, 7)[3] == 6        # C(6, 3) = 20
+    assert _pascal_column(2, 5, 5)[4] == 1     # C(4, 2)
+    assert _pascal_column(2, 3, 3)[1] == 0     # C(1, 2)
+    assert _pascal_column(3, 7, 7)[6] == 6     # C(6, 3)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 2**31 - 1]), st.integers(0, 10**6),
+       st.integers(1, 300), st.booleans())
+def test_binom_digit_wants_single_digits(p, m, n, column):
+    """The kernel splits m into base-p digits: a table is only ever asked
+    for a single digit, and for at most p entries."""
+    table = _pascal_column if column else _pascal_row
+    asked = []
+
+    def spy(digit, length, q):
+        asked.append((digit, length))
+        return table(digit, length, q)
+
+    _lucas_kron(m, n, p, spy)
+    assert all(0 <= d < p and 1 <= length <= p for d, length in asked)
+
+
+def test_lucas_matches_pascal():
+    """Digit-product binomials agree with the additive triangle, as rows
+    C(m, .) and as columns C(., m); at p = 2^31 - 1, where m may have
+    digits past p, math.comb stands in for the triangle."""
+    for p in (2, 3, 5, 7, 2**31 - 1):
+        small = p < 60
+        binom = pascal_binom if small else lambda n, k, p: math.comb(n, k) % p
+        for m in range(60) if small else (0, 7, 59, p - 1, p + 3, 5 * p + 2):
+            assert _lucas_kron(m, 60, p).tolist() == \
+                [binom(m, k, p) for k in range(60)]
+            if m < 60:          # a column reads the digits of m below 60 only
+                assert _lucas_kron(m, 60, p, _pascal_column).tolist() == \
+                    [binom(k, m, p) for k in range(60)]
+
+
+def test_lucas_out_of_range_is_zero():
+    assert _lucas_kron(3, 6, 2)[5] == 0                    # C(3, 5)
+    assert not _lucas_kron(5, 5, 2, _pascal_column).any()  # C(k, 5), k < 5

@@ -5,18 +5,18 @@ from types import ModuleType
 import oneunits
 
 SURFACE = [
-    "BoxVerdict", "DenominatorNotCoprime", "DivisionByZero", "EndoVerdict",
-    "FpElement", "InconsistentReport", "IntegerVerdict", "ModulusMismatch",
-    "NonUnitConstantTerm", "NonUnitExponent", "NonzeroConstantInner",
-    "NotAPthPower", "NotAnEndomorphism", "OneUnit", "OneUnitsError",
-    "PadicApprox", "PeriodReport", "PrecisionExhausted", "Prime", "RationalFn",
-    "RationalityReport", "ShapeMismatch", "TooLargeToEnumerate", "TruncSeries",
-    "WindowTooSmall", "__version__", "binom_digit", "coeffs_to_rational",
-    "compose_unit", "detect_coeff_period", "digits_for_precision",
-    "enumerate_endomorphisms", "find_period", "from_period",
-    "hasse_identity_check", "invert_automorphism", "is_automorphism",
-    "is_endomorphism_bivariate", "is_endomorphism_via_theorem", "lucas_binom",
-    "pow_binomial", "pow_product", "rationality_report", "recover_exponent",
+    "BoxVerdict", "DenominatorNotCoprime", "EndoVerdict", "InconsistentReport",
+    "IntegerVerdict", "ModulusMismatch", "NonUnitConstantTerm",
+    "NonUnitExponent", "NonzeroConstantInner", "NotAnEndomorphism", "OneUnit",
+    "OneUnitsError", "PadicApprox", "PeriodReport", "PrecisionExhausted",
+    "Prime", "RationalFn", "RationalityReport", "ShapeMismatch",
+    "TooLargeToEnumerate", "TruncSeries", "WindowTooSmall", "__version__",
+    "coeffs_to_rational", "compose_unit", "detect_coeff_period",
+    "digits_for_precision", "enumerate_endomorphisms", "find_period",
+    "from_period", "hasse_identity_check", "invert_automorphism",
+    "is_automorphism", "is_endomorphism_bivariate",
+    "is_endomorphism_via_theorem", "pow_binomial", "pow_product",
+    "rationality_report", "recover_exponent",
 ]
 
 

@@ -85,11 +85,13 @@ def test_expand_polynomial():
 
 
 def test_equivalent_cross_multiplies():
+    """Equal fractions are equal objects: both sides keep the one reduced
+    form with denominator constant term 1."""
     a = RationalFn(P3, (1, 1), (1, 2))
-    assert a.equivalent(RationalFn(P3, (1, 1), (1, 2)))
-    assert not a.equivalent(RationalFn(P3, (1,), (1,)))
-    assert not a.equivalent(RationalFn(P3, (1, 2), (1, 1)))
-    assert not a.equivalent(RationalFn(Prime(5), (1, 1), (1, 2)))
+    assert a == RationalFn(P3, (1, 1), (1, 2))
+    assert a != RationalFn(P3, (1,), (1,))
+    assert a != RationalFn(P3, (1, 2), (1, 1))
+    assert a != RationalFn(Prime(5), (1, 1), (1, 2))
 
 
 def test_serialize_round_trip():

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oneunits import (ModulusMismatch, NonUnitConstantTerm,
-                      NonzeroConstantInner, NotAPthPower, Prime,
+                      NonzeroConstantInner, PadicApprox, Prime,
                       PrecisionExhausted, ShapeMismatch, TruncSeries,
-                      lucas_binom)
-from oracles import naive_mul, outer_product, pascal_binom, subst_group_law
+                      pow_product)
+from oracles import (frobenius, naive_mul, outer_product, pascal_binom,
+                     subst_group_law)
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -186,9 +187,9 @@ def test_hasse_composition_rule(p, n, seed, data):
     i = data.draw(st.integers(0, n - 1))
     j = data.draw(st.integers(0, n - 1 - i))
     lhs = f.hasse_derivative(j).hasse_derivative(i)
-    c = int(lucas_binom(i + j, i, Prime(p)))
-    rhs = f.hasse_derivative(i + j).scaled(c)
-    assert lhs == rhs
+    c = pascal_binom(i + j, i, p)
+    rhs = f.hasse_derivative(i + j).coeffs * c % p
+    assert lhs.coeffs.tolist() == rhs.tolist()
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(2, 12), st.integers(0, 10**6),
@@ -207,38 +208,35 @@ def test_hasse_product_rule(p, n, seed, data):
     assert lhs == rhs
 
 
-# -- frobenius and p-th roots -----------------------------------------------
+# -- frobenius: the p-th power is x -> x^p -----------------------------------
 
 def test_frobenius_keeps_precision():
     f = TruncSeries.one_plus_x(P2, 8)
-    assert f.frobenius() == series(2, [1, 0, 1, 0, 0, 0, 0, 0])
+    assert f.pow_int(2) == series(2, [1, 0, 1, 0, 0, 0, 0, 0])
     g = series(3, [1, 1, 1, 0, 0, 0, 0, 0, 0])
-    assert g.frobenius() == series(3, [1, 0, 0, 1, 0, 0, 1, 0, 0])
+    assert g.pow_int(3) == series(3, [1, 0, 0, 1, 0, 0, 1, 0, 0])
+    assert frobenius(g.coeffs.tolist(), 3) == [1, 0, 0, 1, 0, 0, 1, 0, 0]
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 16), st.integers(0, 10**6))
 def test_frobenius_is_pth_power(p, n, seed):
     rng = random.Random(seed)
     f = rand_series(rng, p, n)
-    assert f.frobenius() == f.pow_int(p)
+    assert f.pow_int(p).coeffs.tolist() == frobenius(f.coeffs.tolist(), p)
 
 
-@given(st.sampled_from([2, 3, 5]), st.integers(1, 16), st.integers(0, 10**6))
-def test_root_undoes_frobenius(p, n, seed):
-    rng = random.Random(seed)
-    f = rand_series(rng, p, n)
-    assert f.frobenius().pth_root() == f.truncate((n - 1) // p + 1)
-
-
-def test_pth_root_failure_names_offender():
-    with pytest.raises(NotAPthPower) as exc:
-        TruncSeries.one_plus_x(P2, 4).pth_root()
-    assert "x^1" in str(exc.value)
-
-
-def test_pth_root_precision():
-    f = series(2, [1, 0, 1, 0, 0, 0, 0, 0])
-    assert f.pth_root() == series(2, [1, 1, 0, 0])
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 40),
+       st.integers(-10**6, 10**6))
+def test_root_undoes_frobenius(p, n, y):
+    """(1+x)^(py) is (1+x)^y at x^p, so its every p-th coefficient is
+    (1+x)^y at precision floor((N-1)/p) + 1, and it is zero elsewhere."""
+    P = Prime(p)
+    short = (n - 1) // p + 1
+    power = pow_product(PadicApprox.from_integer(P, p * y, n + 1), n).series
+    base = pow_product(PadicApprox.from_integer(P, y, n + 1), short).series
+    assert power.coeffs[::p].tolist() == base.coeffs.tolist()
+    assert power.coeffs.tolist() == frobenius(
+        base.coeffs.tolist() + [0] * (n - short), p)
 
 
 # -- composition ------------------------------------------------------------
