@@ -2,14 +2,16 @@
 
 Residues are plain integers in [0, p) and :class:`Prime` is the validated
 modulus.  Binomials mod p come from one Lucas kernel: a Kronecker product
-of single-digit Pascal rows or columns, which never divides by p and so
-stays valid in characteristic p.  The serialized forms of the package
-share one field parser.
+of Pascal rows or columns, one per block of base-p digits (a row of a
+cached table of at most 64 x 64 entries, or for p > 64 of one digit),
+which never divides by p and so stays valid in characteristic p.  The
+serialized forms of the package share one field parser.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 
 import numpy as np
@@ -55,25 +57,53 @@ def _pascal_column(b: int, length: int, p: int) -> list[int]:
     return out
 
 
+# the largest block base B = p^j a cached table is built for
+_BLOCK = 64
+_ONE = np.ones(1, dtype=np.int64)        # the empty product, never written
+_ONE.flags.writeable = False
+
+
+@cache
+def _block_table(p: int, table) -> np.ndarray:
+    """T[a, b] = prod_i table(a_i, p, p)[b_i] over the j base-p digits of
+    a, b < B = p^j, B the largest power of p <= _BLOCK: the j-fold
+    Kronecker power of the single-digit table, read-only, as uint8.
+    """
+    digit = np.array([table(a, p, p) for a in range(p)], dtype=np.int64)
+    out = digit
+    while len(out) * p <= _BLOCK:
+        out = np.kron(digit, out) % p
+    out = out.astype(np.uint8)
+    out.flags.writeable = False
+    return out
+
+
 def _lucas_kron(m: int, n: int, p: int, table=_pascal_row) -> np.ndarray:
     """The first n values of prod_i table(m_i, .)[n_i] over the base-p digits.
 
     m_i and n_i are digit i of m and of the index n.  With the default
     table, _pascal_row, value n is C(m, n) mod p; with _pascal_column it
-    is C(n, m) mod p.  The values are the Kronecker product of the digit
-    vectors, digit 0 innermost.  Vector i is cut to min(p, ceil(n / p^i))
-    entries, so a large p never needs a p-long vector.  Digits of m with
-    p^i >= n are not read, which is exact for _pascal_row (entry 0 is 1)
-    and for _pascal_column when m < n.
+    is C(n, m) mod p.  The values are the Kronecker product of one vector
+    per base-B digit, block 0 innermost, where B = p^j is the largest
+    power of p <= _BLOCK (B = p for a larger p).  For p <= _BLOCK the
+    vector is a row of the cached _block_table; for a larger p it comes
+    from table, and no table is built.  Vector i is cut to
+    min(B, ceil(n / B^i)) entries, so a large p never needs a p-long
+    vector.  Blocks of m with B^i >= n are not read, which is exact for
+    _pascal_row (entry 0 is 1) and for _pascal_column when m < n.
     """
-    out = np.ones(1, dtype=np.int64)
+    rows = _block_table(p, table) if p <= _BLOCK else None
+    base = p if rows is None else len(rows)
+    out = _ONE
     q = 1
     while q < n:
-        m, digit = divmod(m, p)
-        row = np.array(table(digit, min(p, -(-n // q)), p), dtype=np.int64)
-        out = np.multiply.outer(row, out).ravel()   # kron of two vectors
-        out %= p
-        q *= p
+        m, digit = divmod(m, base)
+        length = min(base, -(-n // q))
+        row = (np.array(table(digit, length, p), dtype=np.int64)
+               if rows is None else rows[digit, :length].astype(np.int64))
+        # kron of two vectors; the first row is the product so far
+        out = row if q == 1 else np.multiply.outer(row, out).ravel() % p
+        q *= base
     return out[:n].copy()       # a view would keep up to 2n entries alive
 
 

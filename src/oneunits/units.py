@@ -126,12 +126,15 @@ def digits_for_precision(modulus: Prime, precision: int) -> int:
     return max(k, 1)
 
 
-def _check_digit_window(exponent: PadicApprox, precision: int) -> None:
-    covered = exponent.modulus.p ** exponent.precision
-    if covered < precision:
+def _check_digit_window(exponent: PadicApprox, precision: int) -> int:
+    """k = digits_for_precision(N), once K >= k, i.e. p^K >= N, holds."""
+    k = digits_for_precision(exponent.modulus, precision)
+    if exponent.precision < k:
         raise PrecisionExhausted(
             f"{exponent.precision} digits determine coefficients only "
-            f"below x^{covered}, need x^{precision}")
+            f"below x^{exponent.modulus.p ** exponent.precision}, "
+            f"need x^{precision}")
+    return k
 
 
 def pow_binomial(exponent: PadicApprox, precision: int) -> OneUnit:
@@ -141,11 +144,11 @@ def pow_binomial(exponent: PadicApprox, precision: int) -> OneUnit:
     every n < p^K; p^K >= N is demanded up front.  The whole expansion is
     one Lucas kernel over the digit rows C(y_i, 0), C(y_i, 1), ...
     """
-    _check_digit_window(exponent, precision)
+    k = _check_digit_window(exponent, precision)
     p = exponent.modulus.p
-    # the kernel reads digit i only where p^i < N, so i < N; a sum of all
-    # K digits takes time quadratic in K
-    y = _from_digits(exponent.digits[:precision], p)
+    # digit i with p^i >= N meets index digit 0, where C(y_i, 0) = 1, so
+    # only the first k digits matter; a sum of all K takes time quadratic in K
+    y = _from_digits(exponent.digits[:k], p)
     return OneUnit(TruncSeries(exponent.modulus, _lucas_kron(y, precision, p)))
 
 
@@ -533,9 +536,7 @@ def rationality_report(exponent: PadicApprox, precision: int,
     report is that period and its :func:`coeffs_to_rational` fraction.
     """
     modulus, n = exponent.modulus, precision
-    _check_digit_window(exponent, n)
-    if n < 1:                     # pow_binomial's error at N <= 0
-        raise ValueError("coefficient vector must be 1-d and nonempty")
+    k = _check_digit_window(exponent, n)
     verdict = _integer_view(exponent)
     w, r = _default_window(n, max_preperiod, max_period)
     if w < 0 or r < 1:
@@ -544,7 +545,6 @@ def rationality_report(exponent: PadicApprox, precision: int,
         raise WindowTooSmall(
             f"window of {n} coefficients cannot settle a fraction with "
             f"preperiod {w} and denominator degree {r}: that needs {w + 2 * r}")
-    k = digits_for_precision(modulus, n)
     e = modulus.p ** k - exponent.truncate(k).value
     if e <= r:
         den = tuple(_lucas_kron(e, e + 1, modulus.p).tolist())

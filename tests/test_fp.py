@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from oneunits import (ModulusMismatch, NonUnitConstantTerm, Prime,
                       TruncSeries)
-from oneunits.fp import _lucas_kron, _pascal_column, _pascal_row
+from oneunits.fp import (_block_table, _lucas_kron, _pascal_column,
+                         _pascal_row)
 from oracles import pascal_binom
 
 P2, P3, P5, P7 = Prime(2), Prime(3), Prime(5), Prime(7)
@@ -147,3 +149,75 @@ def test_lucas_matches_pascal():
 def test_lucas_out_of_range_is_zero():
     assert _lucas_kron(3, 6, 2)[5] == 0                    # C(3, 5)
     assert not _lucas_kron(5, 5, 2, _pascal_column).any()  # C(k, 5), k < 5
+
+
+def _block_base(p):
+    """B, the base the kernel steps in: the largest power of p <= 64, or p."""
+    base = p
+    while base * p <= 64:
+        base *= p
+    return base
+
+
+def _comb_run(m, n, column):
+    """C(m, k), or C(k, m) if column, for k < n, exact before the caller
+    reduces them: math.comb's values, one multiplicative step each."""
+    out, c = [], 1
+    for k in range(n):
+        if column:
+            out.append(0 if k < m else c)
+            c = c if k < m else c * (k + 1) // (k + 1 - m)
+        else:
+            out.append(c)
+            c = c * (m - k) // (k + 1)
+    return out
+
+
+@pytest.mark.parametrize("column", [False, True])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 61, 67, 2**31 - 1])
+def test_blocked_kernel_matches_pascal(p, column):
+    """The kernel steps over base-B digit blocks; at the block edges
+    n = B - 1, B, B + 1 and B^2 + 1 it still gives C(m, n) as rows and
+    C(n, m) as columns, also where m has digits past n.  The additive
+    triangle checks the runs with m, n < 70, exact integers the rest."""
+    base = _block_base(p)
+    sizes = (base - 1, base, base + 1, base**2 + 1) if p < 100 else (1, 2, 300)
+    table = _pascal_column if column else _pascal_row
+    for n in sizes:
+        for m in {0, 1, base - 1, base, base + 1, n - 1, n, 3 * base**3 + 2}:
+            if column and m >= n:     # a column reads the digits of m below n
+                continue
+            got = _lucas_kron(m, n, p, table).tolist()
+            assert got == [c % p for c in _comb_run(m, n, column)], (m, n)
+            if m < 70 and n < 70:
+                assert got == [pascal_binom(k, m, p) if column else
+                               pascal_binom(m, k, p) for k in range(n)]
+
+
+def test_block_tables_are_cached_read_only_and_small():
+    """A p <= 64 gets one read-only uint8 table per Pascal table, B^2
+    entries with B <= 64, equal to the product of its digit entries; a
+    larger p caches no table."""
+    for p in (2, 3, 5, 7, 11, 61):
+        for table in (_pascal_row, _pascal_column):
+            _lucas_kron(7, 100, p, table)
+            t = _block_table(p, table)
+            assert t is _block_table(p, table)
+            base = _block_base(p)
+            assert t.shape == (base, base) and t.size <= 64**2
+            assert t.dtype == np.uint8 and not t.flags.writeable
+            with pytest.raises(ValueError):
+                t[0, 0] = 0
+            digit = [table(a, p, p) for a in range(p)]
+            for a, b in [(0, 0), (base - 1, base - 1), (base // 2, base // 3),
+                         (base - 1, 1), (1, base - 1)]:
+                want, i, j = 1, a, b
+                while i or j:
+                    want = want * digit[i % p][j % p] % p
+                    i, j = i // p, j // p
+                assert t[a, b] == want, (p, a, b)
+    before = _block_table.cache_info().currsize
+    for p in (67, 2**31 - 1):
+        _lucas_kron(12345, 300, p)
+        _lucas_kron(5, 300, p, _pascal_column)
+    assert _block_table.cache_info().currsize == before

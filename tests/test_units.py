@@ -99,6 +99,18 @@ def test_pow_insufficient_digits():
 
 def test_pow_ignores_digits_past_the_window():
     assert pow_binomial(exp_int(2, 5, 10), 8) == pow_binomial(exp_int(2, 5, 3), 8)
+    big = Prime(2**31 - 1)
+    long_y = PadicApprox(big, tuple(range(1, 4097)))
+    assert pow_binomial(long_y, 4096) == \
+        pow_binomial(PadicApprox(big, (1,)), 4096)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_precision_below_one_is_refused(n):
+    y = exp_int(3, 5, 4)
+    for expand in (pow_binomial, pow_product, rationality_report):
+        with pytest.raises(ValueError, match="^precision must be at least 1$"):
+            expand(y, n)
 
 
 @given(st.sampled_from([2, 3, 5, 7, 2**31 - 1]), st.integers(1, 40),
