@@ -1,11 +1,11 @@
 """The prime field F_p: its modulus and binomials mod p.
 
 Residues are plain integers in [0, p) and :class:`Prime` is the validated
-modulus.  Binomials mod p come from one Lucas kernel: a Kronecker product
-of Pascal rows or columns, one per block of base-p digits (a row of a
-cached table of at most 64 x 64 entries, or for p > 64 of one digit),
-which never divides by p and so stays valid in characteristic p.  The
-serialized forms of the package share one field parser.
+modulus.  Binomials mod p come from one Lucas kernel for (1+x)^m mod x^n:
+a Kronecker product of Pascal rows, one per block of base-p digits of m
+(a row of one cached table of at most 64 x 64 entries per p, or for
+p > 64 of one digit), which never divides by p and so stays valid in
+characteristic p.  The serialized forms share one field parser.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import isqrt
+from operator import index
 
 import numpy as np
 
@@ -49,14 +50,6 @@ def _pascal_row(a: int, length: int, p: int) -> list[int]:
     return out
 
 
-def _pascal_column(b: int, length: int, p: int) -> list[int]:
-    """C(k, b) mod p for k < length <= p, a single digit b < p."""
-    out = [0] * length
-    for k in range(b, length):
-        out[k] = 1 if k == b else out[k - 1] * k * pow(k - b, -1, p) % p
-    return out
-
-
 # the largest block base B = p^j a cached table is built for
 _BLOCK = 64
 _ONE = np.ones(1, dtype=np.int64)        # the empty product, never written
@@ -64,12 +57,12 @@ _ONE.flags.writeable = False
 
 
 @cache
-def _block_table(p: int, table) -> np.ndarray:
-    """T[a, b] = prod_i table(a_i, p, p)[b_i] over the j base-p digits of
-    a, b < B = p^j, B the largest power of p <= _BLOCK: the j-fold
-    Kronecker power of the single-digit table, read-only, as uint8.
+def _block_table(p: int) -> np.ndarray:
+    """T[a, b] = C(a, b) mod p for a, b < B = p^j, B the largest power of
+    p <= _BLOCK: the j-fold Kronecker power of the single-digit Pascal
+    table, read-only, as uint8.
     """
-    digit = np.array([table(a, p, p) for a in range(p)], dtype=np.int64)
+    digit = np.array([_pascal_row(a, p, p) for a in range(p)], dtype=np.int64)
     out = digit
     while len(out) * p <= _BLOCK:
         out = np.kron(digit, out) % p
@@ -78,28 +71,28 @@ def _block_table(p: int, table) -> np.ndarray:
     return out
 
 
-def _lucas_kron(m: int, n: int, p: int, table=_pascal_row) -> np.ndarray:
-    """The first n values of prod_i table(m_i, .)[n_i] over the base-p digits.
+def _lucas_kron(m: int, n: int, p: int) -> np.ndarray:
+    """(1+x)^m mod x^n: value k is C(m, k) mod p, for k < n.
 
-    m_i and n_i are digit i of m and of the index n.  With the default
-    table, _pascal_row, value n is C(m, n) mod p; with _pascal_column it
-    is C(n, m) mod p.  The values are the Kronecker product of one vector
-    per base-B digit, block 0 innermost, where B = p^j is the largest
-    power of p <= _BLOCK (B = p for a larger p).  For p <= _BLOCK the
-    vector is a row of the cached _block_table; for a larger p it comes
-    from table, and no table is built.  Vector i is cut to
+    By Lucas' theorem C(m, k) = prod_i C(m_i, k_i) over the base-p digits
+    of m and k, so the values are the Kronecker product of one Pascal row
+    per base-B digit of m, block 0 innermost, where B = p^j is the
+    largest power of p <= _BLOCK (B = p for a larger p).  For p <= _BLOCK
+    the row is one of the cached _block_table; for a larger p it is
+    _pascal_row, and no table is built.  Row i is cut to
     min(B, ceil(n / B^i)) entries, so a large p never needs a p-long
-    vector.  Blocks of m with B^i >= n are not read, which is exact for
-    _pascal_row (entry 0 is 1) and for _pascal_column when m < n.
+    row.  Blocks of m with B^i >= n are not read (entry 0 of a row is 1).
+    Floor divmod reads a negative m as a p-adic integer, so the values
+    are then those of 1/(1+x)^(-m).
     """
-    rows = _block_table(p, table) if p <= _BLOCK else None
+    rows = _block_table(p) if p <= _BLOCK else None
     base = p if rows is None else len(rows)
     out = _ONE
     q = 1
     while q < n:
         m, digit = divmod(m, base)
         length = min(base, -(-n // q))
-        row = (np.array(table(digit, length, p), dtype=np.int64)
+        row = (np.array(_pascal_row(digit, length, p), dtype=np.int64)
                if rows is None else rows[digit, :length].astype(np.int64))
         # kron of two vectors; the first row is the product so far
         out = row if q == 1 else np.multiply.outer(row, out).ravel() % p
@@ -123,3 +116,12 @@ def _parse_fields(text: str, *keys: str) -> tuple:
             raise ValueError(f"expected field {key!r}, got {part!r}")
     p, *fields = (part.split("=", 1)[1] for part in parts)
     return (Prime(int(p)), *fields)
+
+
+def _integers(values, what: str) -> list[int]:
+    """values as a list of ints; a float or a string raises ValueError."""
+    try:
+        # a list: tuple(map(...)) raised the peak RSS of long runs by MBs
+        return [index(v) for v in values]
+    except TypeError as exc:
+        raise ValueError(f"{what} must be integers: {exc}") from None

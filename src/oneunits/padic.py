@@ -20,7 +20,7 @@ from .errors import (
     PrecisionExhausted,
     WindowTooSmall,
 )
-from .fp import Prime, _parse_fields
+from .fp import Prime, _integers, _parse_fields
 from .periodic import PeriodReport, find_period
 
 __all__ = ["PadicApprox", "IntegerVerdict"]
@@ -62,7 +62,7 @@ class PadicApprox:
         if len(self.digits) < 1:
             raise ValueError("at least one digit is required")
         p = self.modulus.p
-        clean = tuple(int(d) for d in self.digits)
+        clean = tuple(_integers(self.digits, "digits"))
         for d in clean:
             if not 0 <= d < p:
                 raise ValueError(f"digit {d} out of range for p={p}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import Prime, _parse_fields
+from .fp import Prime, _integers, _parse_fields
 from .periodic import PeriodReport
 from .series import TruncSeries
 
@@ -79,8 +79,8 @@ class RationalFn:
 
     def __post_init__(self) -> None:
         p = self.modulus.p
-        num = _trim(int(v) for v in self.numerator)
-        den = _trim(int(v) for v in self.denominator)
+        num = _trim(_integers(self.numerator, "coefficients"))
+        den = _trim(_integers(self.denominator, "coefficients"))
         for v in num + den:
             if not 0 <= v < p:
                 raise ValueError(f"coefficient {v} out of range for p={p}")

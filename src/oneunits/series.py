@@ -22,7 +22,7 @@ from .errors import (
     PrecisionExhausted,
     ShapeMismatch,
 )
-from .fp import Prime, _lucas_kron, _parse_fields, _pascal_column
+from .fp import Prime, _lucas_kron, _parse_fields
 
 __all__ = ["TruncSeries"]
 
@@ -47,15 +47,15 @@ class TruncSeries:
 
     def __post_init__(self) -> None:
         p = self.modulus.p
-        try:
-            arr = np.ascontiguousarray(self.coeffs, dtype=np.int64)
-            if arr.ndim != 1 or len(arr) < 1:
-                raise ValueError("coefficient vector must be 1-d and nonempty")
-            residues = int(arr.min()) >= 0 and int(arr.max()) < p
-        except OverflowError:          # an integer past int64 is no residue
-            residues = False
-        if not residues:
+        arr = np.asarray(self.coeffs)
+        if arr.ndim != 1 or len(arr) < 1:
+            raise ValueError("coefficient vector must be 1-d and nonempty")
+        # one dtype check, no per-element loop: floats, strings and objects
+        # (integers past int64) are no residues, and none is converted
+        if arr.dtype.kind not in "biu" or \
+                not 0 <= int(arr.min()) <= int(arr.max()) < p:
             raise ValueError(f"coefficients must be residues in [0, {p})")
+        arr = np.ascontiguousarray(arr, dtype=np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -179,9 +179,9 @@ class TruncSeries:
     def hasse_derivative(self, m: int) -> "TruncSeries":
         """The m-th Hasse derivative: x^n maps to C(n, m) x^(n-m).
 
-        The binomials C(n, m) for all n come from one Lucas kernel over
-        the digits of m, so no division by p ever happens.  The result is
-        only known modulo x^(N-m).
+        The weights C(m + j, m) = (-1)^j C(-m-1, j) come from the Lucas
+        kernel on the p-adic digits of -m-1, so no division by p ever
+        happens.  The result is only known modulo x^(N-m).
         """
         if m < 0:
             raise ValueError("derivative order must be nonnegative")
@@ -189,8 +189,9 @@ class TruncSeries:
         if m >= n:
             raise PrecisionExhausted(
                 f"order {m} exceeds what precision {n} supports")
-        weights = _lucas_kron(m, n, p, _pascal_column)
-        return TruncSeries(self.modulus, self.coeffs[m:] * weights[m:] % p)
+        out = self.coeffs[m:] * _lucas_kron(-m - 1, n - m, p)
+        out[1::2] *= -1
+        return TruncSeries(self.modulus, out % p)
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
         """f(inner) for an inner series with zero constant term (Horner)."""

@@ -20,7 +20,8 @@ the digits of y say with what the coefficient stream of f shows.  Mod
 x^N the power depends only on Y = y mod q, q = p^k >= N, and
 (1+x)^Y (1+x)^(q-Y) = 1 + x^q = 1 there, so the stream of 1/(1+x)^e,
 e = q - Y, is read off the digits of y; the extended Euclid reconstructs
-the fraction of every other stream.
+the fraction of every other stream, and its period is read off that
+stream unless the denominator is a power of 1 + x.
 """
 
 from __future__ import annotations
@@ -432,41 +433,37 @@ class RationalityReport:
     consistent: bool
 
 
-def _period_of(den: tuple[int, ...], modulus: Prime, bound: int) -> int | None:
-    """Order of x modulo den (den[0] = 1), the period of any n/den.
+def _period_of(e: int, p: int) -> int:
+    """Order of x modulo (1+x)^e, the period of any n/(1+x)^e.
 
-    For den = t^e, t = 1+x, it is 2p^ceil(log_p e), or 2^ceil(log_2 e)
-    when p = 2: x = -(1 - t), and modulo t^e the unit 1 - t has order
-    the least p^k >= e since (1 - t)^(p^k) = 1 - t^(p^k).  Any other den
-    is searched up to bound as the pure period of 1/den; None beyond it.
-    1/den obeys a recurrence of order deg den, so a period that holds on
-    its first 2 bound + deg den terms holds for ever.
+    It is 2p^ceil(log_p e), or 2^ceil(log_2 e) when p = 2: with t = 1+x,
+    x = -(1 - t), and modulo t^e the unit 1 - t has order the least
+    p^k >= e since (1 - t)^(p^k) = 1 - t^(p^k).
     """
-    e, p = len(den) - 1, modulus.p
-    # compared as lists: a tuple built from a generator on every call
-    # raised the peak RSS of long runs by a few MB (CPython 3.11)
-    if list(den) == [math.comb(e, k) % p for k in range(e + 1)]:
-        q = 1
-        while q < e:
-            q *= p
-        return q if p == 2 or e == 0 else 2 * q
-    inverse = TruncSeries(modulus, _padded(den, 2 * bound + e)).invert()
-    report = find_period(inverse.coeffs, 0, bound)
-    return None if report is None else report.period
+    q = 1
+    while q < e:
+        q *= p
+    return q if p == 2 or e == 0 else 2 * q
 
 
 def _coeff_view(u: OneUnit, w: int,
                 r: int) -> tuple[PeriodReport, RationalFn] | None:
     """The coefficient view of :func:`rationality_report` on any one-unit,
-    by the extended Euclid; W + 2R <= N is the caller's."""
+    by the extended Euclid; W + 2R <= N is the caller's.  Q = (1+x)^e has
+    the period of :func:`_period_of`; for any other Q, a period <= R after
+    a preperiod <= W on the stream is a fraction of type (W + R - 1, R)
+    equal to P/Q on W + 2R terms, so :func:`find_period` reads it off."""
     fn = from_pade(u.modulus, u.series.coeffs, w + r - 1, r)
     if fn is None or not _expands_to(fn, u.series):
         return None
     preperiod = max(0, len(fn.numerator) - len(fn.denominator) + 1)
     if preperiod > w:
         return None
-    period = _period_of(fn.denominator, u.modulus, r)
-    return None if period is None else (PeriodReport(preperiod, period), fn)
+    e, p = len(fn.denominator) - 1, u.modulus.p
+    if list(fn.denominator) == _lucas_kron(e, e + 1, p).tolist():
+        return PeriodReport(preperiod, _period_of(e, p)), fn
+    report = find_period(u.series.coeffs, w, r)
+    return None if report is None else (report, fn)
 
 
 # a fraction a/b, b > 1, overrules a tail-rule integer y when
@@ -547,9 +544,8 @@ def rationality_report(exponent: PadicApprox, precision: int,
             f"preperiod {w} and denominator degree {r}: that needs {w + 2 * r}")
     e = modulus.p ** k - exponent.truncate(k).value
     if e <= r:
-        den = tuple(_lucas_kron(e, e + 1, modulus.p).tolist())
-        view = (PeriodReport(0, _period_of(den, modulus, r)),
-                RationalFn(modulus, (1,), den))
+        view = (PeriodReport(0, _period_of(e, modulus.p)),
+                RationalFn(modulus, (1,), _lucas_kron(e, e + 1, modulus.p)))
     else:
         view = _coeff_view(pow_binomial(exponent, n), w, r)
     report, fn = view if view is not None else (None, None)

@@ -18,6 +18,15 @@ from oneunits import (ModulusMismatch, PadicApprox, Prime, ShapeMismatch,
                       TruncSeries, digits_for_precision, pow_binomial)
 
 
+def block_base(p: int) -> int:
+    """B, the base the Lucas kernel steps in: the largest power of p
+    <= 64, or p."""
+    base = p
+    while base * p <= 64:
+        base *= p
+    return base
+
+
 def pascal_binom(n: int, k: int, p: int) -> int:
     """C(n, k) mod p via the additive recurrence."""
     if k < 0 or k > n:

@@ -538,7 +538,8 @@ def test_any_argv_keeps_the_exit_contract(argv):
 # -- golden transcript ------------------------------------------------------
 
 GOLDEN = [json.loads(line) for line in
-          (Path(__file__).parent / "data" / "cli_golden.jsonl").open()]
+          (Path(__file__).parent / "data" / "cli_golden.jsonl")
+          .read_text().splitlines()]
 
 
 @pytest.mark.parametrize(

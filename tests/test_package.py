@@ -2,7 +2,10 @@
 
 from types import ModuleType
 
+import pytest
+
 import oneunits
+from oneunits import PadicApprox, Prime, RationalFn, TruncSeries
 
 SURFACE = [
     "BoxVerdict", "DenominatorNotCoprime", "EndoVerdict", "InconsistentReport",
@@ -33,3 +36,23 @@ def test_from_pade_stays_in_ratfn():
     assert callable(from_pade)
     assert not hasattr(oneunits, "from_pade")
     assert "from_pade" not in oneunits.ratfn.__all__
+
+
+P5 = Prime(5)
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: TruncSeries(P5, [1, 2.7]), "residues"),
+    (lambda: TruncSeries(P5, ["3", "1"]), "residues"),
+    (lambda: TruncSeries(P5, 3), "1-d"),
+    (lambda: PadicApprox(P5, (1.9, 2)), "integers"),
+    (lambda: PadicApprox(P5, "12"), "integers"),
+    (lambda: RationalFn(P5, (1.5,), (1,)), "integers"),
+    (lambda: RationalFn(P5, (1,), (1, "2")), "integers"),
+], ids=["float-coeff", "str-coeffs", "0-d-coeffs", "float-digit",
+        "str-digits", "float-numerator", "str-denominator"])
+def test_constructors_refuse_non_integers(build, text):
+    """A float, a string or a scalar is refused with ValueError, as Prime
+    refuses a non-integer modulus, instead of being truncated or parsed."""
+    with pytest.raises(ValueError, match=text):
+        build()

@@ -11,8 +11,8 @@ from oneunits import (ModulusMismatch, NonUnitConstantTerm,
                       NonzeroConstantInner, PadicApprox, Prime,
                       PrecisionExhausted, ShapeMismatch, TruncSeries,
                       pow_product)
-from oracles import (frobenius, naive_mul, outer_product, pascal_binom,
-                     subst_group_law)
+from oracles import (block_base, frobenius, naive_mul, outer_product,
+                     pascal_binom, subst_group_law)
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -167,15 +167,25 @@ def test_hasse_order_bounds():
         f.hasse_derivative(-1)
 
 
-@given(st.sampled_from([2, 3, 5, 7, 2**31 - 1]), st.integers(1, 40),
+@given(st.sampled_from([2, 3, 5, 7, 61, 67, 2**31 - 1]),
        st.integers(0, 10**6), st.data())
-def test_hasse_matches_pascal(p, n, seed, data):
-    """The Lucas kernel over the digits of m gives C(n, m) at every n."""
+def test_hasse_matches_pascal(p, seed, data):
+    """The Lucas kernel over the digits of -m-1 gives C(n, m) at every n,
+    for N up to 40 and at the block edges N = B - 1, B, B + 1, B^2 + 1,
+    with orders m at the edges too.  The additive triangle checks N <= 40,
+    exact integers the rest."""
+    base = block_base(p)
+    edges = [base - 1, base, base + 1, base**2 + 1] if p < 100 else [300]
+    n = data.draw(st.one_of(st.integers(1, 40), st.sampled_from(edges)),
+                  label="N")
     f = rand_series(random.Random(seed), p, n)
-    m = data.draw(st.integers(0, n - 1), label="order")
+    orders = [m for m in (1, base, base + 1, n - 1) if m < n]
+    m = data.draw(st.one_of(st.integers(0, n - 1), st.sampled_from(orders)),
+                  label="order")
+    binom = pascal_binom if n <= 40 else lambda a, b, p: math.comb(a, b) % p
     c = f.coeffs.tolist()
     assert f.hasse_derivative(m).coeffs.tolist() == [
-        pascal_binom(i + m, m, p) * c[i + m] % p for i in range(n - m)]
+        binom(i + m, m, p) * c[i + m] % p for i in range(n - m)]
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(2, 14), st.integers(0, 10**6),

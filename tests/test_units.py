@@ -707,7 +707,7 @@ def test_rationality_report_sees_fitting_integers(p, y, n, data):
 def _x_power_mod(den, n, p):
     """x^n modulo den over F_p (den[-1] != 0), by square and multiply."""
     def reduce(poly):
-        poly = list(poly)
+        poly = list(poly) + [0] * (len(den) - 1 - len(poly))
         lead = pow(den[-1], -1, p)
         for top in range(len(poly) - 1, len(den) - 2, -1):
             c = poly[top] * lead % p
@@ -739,33 +739,37 @@ def _small_order_den(p, r, kind):
     return (1,) * r
 
 
-@given(st.sampled_from([2, 3, 5, 7, 65537, 2**31 - 1]), st.data())
-def test_period_of_is_the_order_of_x(p, data):
-    """_period_of is the order of x modulo den, or None past the bound.
+@given(st.sampled_from([2, 3, 5, 7, 65537, 2**31 - 1]), st.integers(0, 12))
+def test_period_of_is_the_order_of_x(p, e):
+    """_period_of(e, p) is the order of x modulo (1+x)^e.
 
-    Powers of 1+x take the closed form whatever the bound; the oracle
-    confirms it where the order is small enough to walk, and beyond that
-    x^n = 1 with x^(n/l) != 1 for the primes l | n = 2^a p^b.  Any other
-    den is checked at bounds just below, at and above its order, and at
-    bounds up to its degree: 1/(1 - x^r + c x^e) repeats with period r
-    below x^e, so for e >= 2r its first 2r terms alone show a false
-    period r.
+    The oracle confirms it where the order is small enough to walk, and
+    beyond that x^n = 1 with x^(n/l) != 1 for the primes l | n = 2^a p^b.
+    """
+    den = tuple(math.comb(e, k) % p for k in range(e + 1))
+    n = _period_of(e, p)
+    if n <= 1 << 18:
+        assert order_of_x_mod(den, p, n) == n
+    else:
+        one = _x_power_mod(den, 0, p)
+        assert _x_power_mod(den, n, p) == one
+        assert all(_x_power_mod(den, n // q, p) != one
+                   for q in {2, p} if n % q == 0)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 65537, 2**31 - 1]), st.data())
+def test_coeff_view_reports_the_order_of_x(p, data):
+    """On the stream of P/den, den no power of 1+x, the coefficient view
+    reports the preperiod max(0, deg P - deg den + 1) and the order of x
+    modulo den when they are at most W and R, else nothing.
+
+    It is checked at R from deg den up, just below, at and above the
+    order, with W + 2R <= N, tight or not, and W below, at and above the
+    preperiod.  1/(1 - x^r + c x^e) repeats with period r below x^e, so
+    for e >= 2r its first 2r terms alone show a false period r.
     """
     P = Prime(p)
-    kind = data.draw(st.sampled_from(
-        ["power", "small order", "near period", "random"]))
-    if kind == "power":
-        e = data.draw(st.integers(0, 12), label="e")
-        den = tuple(math.comb(e, k) % p for k in range(e + 1))
-        n = _period_of(den, P, data.draw(st.integers(1, 64), label="bound"))
-        if n <= 1 << 18:
-            assert order_of_x_mod(den, p, n) == n
-        else:
-            one = _x_power_mod(den, 0, p)
-            assert _x_power_mod(den, n, p) == one
-            assert all(_x_power_mod(den, n // q, p) != one
-                       for q in {2, p} if n % q == 0)
-        return
+    kind = data.draw(st.sampled_from(["small order", "near period", "random"]))
     if kind == "small order":
         den = _small_order_den(p, data.draw(st.integers(2, 24), label="r"),
                                data.draw(st.integers(0, 2), label="shape"))
@@ -780,16 +784,30 @@ def test_period_of_is_the_order_of_x(p, data):
         e = data.draw(st.integers(1, 6), label="deg")
         den = tuple([1] + [data.draw(st.integers(0, p - 1)) for _ in range(e - 1)]
                     + [data.draw(st.integers(1, p - 1), label="lead")])
-    if den == tuple(math.comb(len(den) - 1, k) % p for k in range(len(den))):
+    degree = len(den) - 1
+    if den == tuple(math.comb(degree, k) % p for k in range(degree + 1)):
         return                              # a power of 1+x after all
-    order = order_of_x_mod(den, p, 4096)
-    bounds = set(range(1, len(den) + 2))
-    bounds.add(data.draw(st.integers(1, 200), label="bound"))
+    lead = data.draw(st.integers(0, 4), label="preperiod")
+    num = (1,) + (0,) * (degree + lead - 2) + (1,) if degree + lead > 1 else (1,)
+    try:
+        fn = RationalFn(P, num, den)
+    except ValueError:                      # a common factor
+        fn, lead = RationalFn(P, (1,), den), 0
+    order = order_of_x_mod(den, p, 256)
+    bounds = {degree, degree + 1, data.draw(st.integers(degree, 64), label="R")}
     if order is not None:
-        bounds |= {order - 1, order, order + 1} - {0}
-    for bound in sorted(bounds):
-        assert _period_of(den, P, bound) == order_of_x_mod(den, p, bound), \
-            (den, bound)
+        bounds |= {order - 1, order, order + 1} - set(range(degree))
+    for r in sorted(bounds):
+        w = data.draw(st.integers(max(0, lead - 1), lead + 2), label="W")
+        # N >= deg P + R + 1 too: then no other fraction of the window's
+        # type fits all N terms
+        n = max(w + 2 * r, degree + lead + r) + \
+            data.draw(st.integers(0, 3), label="N - W - 2R")
+        u = OneUnit(fn.expand(n))
+        found = order is not None and order <= r and lead <= w
+        want = (PeriodReport(lead, order), fn) if found else None
+        assert _coeff_view(u, w, r) == want, (fn, w, r, n)
+        assert detect_coeff_period(u, w, r) == (want and want[0])
 
 
 def test_coeff_view_bounds_other_denominators_by_max_period():
@@ -885,7 +903,7 @@ def test_power_fraction_reads_exactly_the_type_range(p, n, w, r, monkeypatch):
             den = tuple(power.series.coeffs.tolist())
             assert report.rational == RationalFn(Prime(p), (1,), den)
             assert report.coeff_period == \
-                PeriodReport(0, _period_of(den, Prime(p), r))
+                PeriodReport(0, _period_of(e, p))
         else:
             assert len(euclid_calls) == 1
         assert _reported_view(exponent, n, w, r) == \
