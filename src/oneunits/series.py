@@ -1,7 +1,7 @@
 """Truncated power series over F_p: the ring F_p[[x]] / x^N.
 
-A :class:`TruncSeries` stores its coefficients densely as a read-only numpy
-vector of residues; index n holds the coefficient of x^n and the vector
+A :class:`TruncSeries` stores its coefficients densely in its own read-only
+numpy vector of residues; index n holds the coefficient of x^n and the vector
 length is the precision N.  Precision is explicit and sticky: binary
 operations demand equal precision (lower one explicitly with
 :meth:`TruncSeries.truncate`), while the Hasse derivative of order m
@@ -55,7 +55,7 @@ class TruncSeries:
         if arr.dtype.kind not in "biu" or \
                 not 0 <= int(arr.min()) <= int(arr.max()) < p:
             raise ValueError(f"coefficients must be residues in [0, {p})")
-        arr = np.ascontiguousarray(arr, dtype=np.int64)
+        arr = np.array(arr, dtype=np.int64)     # a copy: the series owns it
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 

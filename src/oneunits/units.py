@@ -5,14 +5,14 @@ A one-unit is a truncated series with constant term 1.  The powers of
 integer y, and three different characterizations of that set live here:
 expansion (:func:`pow_binomial` by Lucas' theorem, :func:`pow_product`
 as a Frobenius product of digit powers), recovery that reads digit i of
-y off the coefficient of x^(p^i) and verifies it by one re-expansion
-(:func:`recover_exponent`, :func:`is_endomorphism_via_theorem`), and the
-two-variable product comparison f(x)f(y) = f(x + y + xy)
+y off the coefficient of x^(p^i) and compares the Lucas kernel on y
+with u (:func:`recover_exponent`, :func:`is_endomorphism_via_theorem`),
+and the two-variable product comparison f(x)f(y) = f(x + y + xy)
 (:func:`is_endomorphism_bivariate`), decided by the same read-off and
 located row by row through Hasse derivatives.  A non-power is rejected
-by read-off too: its residual u (1+x)^(-y) comes from the same Lucas
-kernel on the digits of -y, since (1+x)^(-y) inverts (1+x)^y mod x^N
-once p^K >= N.
+by read-off too: its residual u (1+x)^(-y) is the kernel on -y, since
+(1+x)^(-y) inverts (1+x)^y mod x^N once p^K >= N.  Read-offs work on
+the kernel's arrays and y; only an answer becomes a checked object.
 On top of those sit composition (a power f = (1+x)^y acts on g as g^y,
 by the same Frobenius product), automorphism inversion, the
 Hasse-derivative identity, and the rationality probes that compare what
@@ -20,8 +20,8 @@ the digits of y say with what the coefficient stream of f shows.  Mod
 x^N the power depends only on Y = y mod q, q = p^k >= N, and
 (1+x)^Y (1+x)^(q-Y) = 1 + x^q = 1 there, so the stream of 1/(1+x)^e,
 e = q - Y, is read off the digits of y; the extended Euclid reconstructs
-the fraction of every other stream, and its period is read off that
-stream unless the denominator is a power of 1 + x.
+the fraction of every other stream, the kernel's (1+x)^Y, and its period
+is read off that stream unless the denominator is a power of 1 + x.
 """
 
 from __future__ import annotations
@@ -127,15 +127,18 @@ def digits_for_precision(modulus: Prime, precision: int) -> int:
     return max(k, 1)
 
 
-def _check_digit_window(exponent: PadicApprox, precision: int) -> int:
-    """k = digits_for_precision(N), once K >= k, i.e. p^K >= N, holds."""
+def _check_digit_window(exponent: PadicApprox,
+                        precision: int) -> tuple[int, int]:
+    """k = digits_for_precision(N) and Y = y mod p^k, once p^K >= N holds.
+    Digit i with p^i >= N meets index digit 0, where C(y_i, 0) = 1, so only
+    the first k digits matter; a sum of all K takes time quadratic in K."""
     k = digits_for_precision(exponent.modulus, precision)
     if exponent.precision < k:
         raise PrecisionExhausted(
             f"{exponent.precision} digits determine coefficients only "
             f"below x^{exponent.modulus.p ** exponent.precision}, "
             f"need x^{precision}")
-    return k
+    return k, _from_digits(exponent.digits[:k], exponent.modulus.p)
 
 
 def pow_binomial(exponent: PadicApprox, precision: int) -> OneUnit:
@@ -145,11 +148,8 @@ def pow_binomial(exponent: PadicApprox, precision: int) -> OneUnit:
     every n < p^K; p^K >= N is demanded up front.  The whole expansion is
     one Lucas kernel over the digit rows C(y_i, 0), C(y_i, 1), ...
     """
-    k = _check_digit_window(exponent, precision)
+    _, y = _check_digit_window(exponent, precision)
     p = exponent.modulus.p
-    # digit i with p^i >= N meets index digit 0, where C(y_i, 0) = 1, so
-    # only the first k digits matter; a sum of all K takes time quadratic in K
-    y = _from_digits(exponent.digits[:k], p)
     return OneUnit(TruncSeries(exponent.modulus, _lucas_kron(y, precision, p)))
 
 
@@ -200,17 +200,17 @@ def pow_product(exponent: PadicApprox, precision: int) -> OneUnit:
     return OneUnit(_frobenius_power(one_plus_x, exponent.digits))
 
 
-def _read_off(u: OneUnit) -> tuple[PadicApprox, TruncSeries]:
-    """The y read off u and (1+x)^y mod x^N.
+def _read_off(u: OneUnit) -> tuple[list[int], int, bool]:
+    """The digits of the y read off u, y, and whether u is (1+x)^y mod x^N.
 
     Digit i of y, p^i < N, is the coefficient of x^(p^i); digits past x^N
     are 0, and at N = 1 no coefficient is read: y is the digit 0.
     """
-    p, n = u.modulus.p, u.precision
-    y = PadicApprox(u.modulus, tuple(
-        u.coefficient(p**i) if p**i < n else 0
-        for i in range(digits_for_precision(u.modulus, n))))
-    return y, pow_binomial(y, n).series
+    coeffs, p, n = u.series.coeffs, u.modulus.p, u.precision
+    digits = [int(coeffs[p**i]) if p**i < n else 0
+              for i in range(digits_for_precision(u.modulus, n))]
+    y = _from_digits(digits, p)
+    return digits, y, bool(np.array_equal(_lucas_kron(y, n, p), coeffs))
 
 
 def recover_exponent(u: OneUnit) -> PadicApprox:
@@ -218,21 +218,21 @@ def recover_exponent(u: OneUnit) -> PadicApprox:
 
     By Lucas' theorem the coefficient of x^(p^i) in (1+x)^y is digit i
     of y, so the digits with p^i < N are read off and the candidate is
-    re-expanded once.  When the expansion differs from u, u is no power
-    of 1+x and NotAnEndomorphism is raised with stage s, the least v_p(n)
-    over the n where u (1+x)^(-y) - 1 has a nonzero coefficient: the
-    round at which the staged p-th-root descent would reject u.  The
-    residual is read off too: (1+x)^(-y) is the Lucas kernel on the K
-    digits of -y, exact mod x^N because p^K >= N, so no series is
-    inverted.
+    re-expanded once; only the y returned becomes a PadicApprox.  When
+    the expansion differs from u, u is no power of 1+x and
+    NotAnEndomorphism is raised with stage s, the least v_p(n) over the
+    n where u (1+x)^(-y) - 1 has a nonzero coefficient: the round at
+    which the staged p-th-root descent would reject u.  The residual is
+    read off too: (1+x)^(-y) is the Lucas kernel on -y, read p-adically,
+    exact mod x^N because p^K >= N, so no series is inverted.
     """
     if u.precision < 2:
         raise PrecisionExhausted("precision 1 determines no exponent digits")
-    y, expansion = _read_off(u)
-    if expansion == u.series:
-        return y
-    p = u.modulus.p
-    residual = (u.series * pow_binomial(-y, u.precision).series).coeffs
+    digits, y, matches = _read_off(u)
+    if matches:
+        return PadicApprox(u.modulus, tuple(digits))
+    p, n = u.modulus.p, u.precision
+    residual = _convolve_mod(u.series.coeffs, _lucas_kron(-y, n, p), n, p)
     common = int(np.gcd.reduce(np.flatnonzero(residual[1:]) + 1))
     stage = 0
     while common % p == 0:                # v_p of the gcd is the least v_p
@@ -285,8 +285,8 @@ def is_endomorphism_bivariate(u: OneUnit) -> BoxVerdict:
     polynomial of degree below N, and row i of f(x)f(y) is a_i f(y).
     """
     n = u.precision
-    y, expansion = _read_off(u)
-    if expansion == u.series and y.value < n:
+    _, y, matches = _read_off(u)
+    if matches and y < n:
         return BoxVerdict(None)
     f, p = u.series, u.modulus.p
     for i in range(1, n):            # row 0 is f = a_0 f
@@ -353,9 +353,9 @@ def compose_unit(f: OneUnit, g: OneUnit) -> OneUnit:
     compose_unit((1+x)^a, (1+x)^b) = (1+x)^(ab).
     """
     f.series._check_compatible(g.series)
-    y, expansion = _read_off(f)
-    if expansion == f.series:
-        return OneUnit(_frobenius_power(g.series, y.digits))
+    digits, _, matches = _read_off(f)
+    if matches:
+        return OneUnit(_frobenius_power(g.series, digits))
     inner = np.array(g.series.coeffs, dtype=np.int64)
     inner[0] = 0
     return OneUnit(f.series.compose(TruncSeries(g.modulus, inner)))
@@ -399,17 +399,17 @@ def coeffs_to_rational(u: OneUnit, report: PeriodReport) -> RationalFn:
     describe the stream raises InconsistentReport.
     """
     fn = from_period(u.modulus, u.series.coeffs, report)
-    if not _expands_to(fn, u.series):
+    if not _expands_to(fn, u.series.coeffs):
         raise InconsistentReport(
             f"report {report} does not re-expand to the stream")
     return fn
 
 
-def _expands_to(fn: RationalFn, series: TruncSeries) -> bool:
-    """Whether P/Q expands to series: P = series * Q mod x^N, as Q(0) = 1."""
-    n, p = series.precision, series.modulus.p
+def _expands_to(fn: RationalFn, coeffs: np.ndarray) -> bool:
+    """Whether P/Q expands to coeffs: P = coeffs * Q mod x^N, as Q(0) = 1."""
+    n, p = len(coeffs), fn.modulus.p
     den = np.array(fn.denominator, dtype=np.int64)
-    return bool(np.array_equal(_convolve_mod(series.coeffs, den, n, p),
+    return bool(np.array_equal(_convolve_mod(coeffs, den, n, p),
                                _padded(fn.numerator, n)))
 
 
@@ -446,23 +446,23 @@ def _period_of(e: int, p: int) -> int:
     return q if p == 2 or e == 0 else 2 * q
 
 
-def _coeff_view(u: OneUnit, w: int,
+def _coeff_view(modulus: Prime, coeffs: np.ndarray, w: int,
                 r: int) -> tuple[PeriodReport, RationalFn] | None:
-    """The coefficient view of :func:`rationality_report` on any one-unit,
+    """The coefficient view of :func:`rationality_report` on a stream,
     by the extended Euclid; W + 2R <= N is the caller's.  Q = (1+x)^e has
     the period of :func:`_period_of`; for any other Q, a period <= R after
     a preperiod <= W on the stream is a fraction of type (W + R - 1, R)
     equal to P/Q on W + 2R terms, so :func:`find_period` reads it off."""
-    fn = from_pade(u.modulus, u.series.coeffs, w + r - 1, r)
-    if fn is None or not _expands_to(fn, u.series):
+    fn = from_pade(modulus, coeffs, w + r - 1, r)
+    if fn is None or not _expands_to(fn, coeffs):
         return None
     preperiod = max(0, len(fn.numerator) - len(fn.denominator) + 1)
     if preperiod > w:
         return None
-    e, p = len(fn.denominator) - 1, u.modulus.p
+    e, p = len(fn.denominator) - 1, modulus.p
     if list(fn.denominator) == _lucas_kron(e, e + 1, p).tolist():
         return PeriodReport(preperiod, _period_of(e, p)), fn
-    report = find_period(u.series.coeffs, w, r)
+    report = find_period(coeffs, w, r)
     return None if report is None else (report, fn)
 
 
@@ -520,20 +520,20 @@ def rationality_report(exponent: PadicApprox, precision: int,
     default), and accepts it when it re-expands to all N and its
     preperiod max(0, deg P - deg Q + 1) is at most W.  At most one such
     fraction fits W + 2R coefficients, so WindowTooSmall is raised when
-    W + 2R > N.  With Y = y mod q read off the first k digits of y,
-    q = p^k the least power >= N, the fraction 1/(1+x)^e, e = q - Y,
+    W + 2R > N.  Y = y mod q, q = p^k the least power >= N, is read once
+    off the first k digits of y; the fraction 1/(1+x)^e, e = q - Y,
     needs no search when e <= R: (1+x)^Y (1+x)^e = 1 + x^q = 1 mod x^N,
-    and it is the reduced fraction of that type.  Every other stream,
-    the polynomial (1+x)^Y included, goes to the extended Euclid of
-    :func:`from_pade`.  R bounds the degree of the denominator, not the
-    period: 1/(1+x)^e has period 2p^ceil(log_p e) (2^ceil(log_2 e) for p = 2),
-    which may exceed R and even N/2.  A denominator that is not a power
-    of 1+x is accepted only with period at most R.  Wherever
+    and it is the reduced fraction of that type.  For any other Y the
+    extended Euclid of :func:`from_pade` runs on the Lucas kernel's
+    (1+x)^Y, polynomial or not.  R bounds the degree of the denominator,
+    not the period: 1/(1+x)^e has period 2p^ceil(log_p e)
+    (2^ceil(log_2 e) for p = 2), which may exceed R and even N/2; any
+    other denominator is accepted only with period at most R.  Wherever
     :func:`detect_coeff_period` with the same bounds finds a period, the
     report is that period and its :func:`coeffs_to_rational` fraction.
     """
-    modulus, n = exponent.modulus, precision
-    k = _check_digit_window(exponent, n)
+    modulus, p, n = exponent.modulus, exponent.modulus.p, precision
+    k, y = _check_digit_window(exponent, n)
     verdict = _integer_view(exponent)
     w, r = _default_window(n, max_preperiod, max_period)
     if w < 0 or r < 1:
@@ -542,12 +542,12 @@ def rationality_report(exponent: PadicApprox, precision: int,
         raise WindowTooSmall(
             f"window of {n} coefficients cannot settle a fraction with "
             f"preperiod {w} and denominator degree {r}: that needs {w + 2 * r}")
-    e = modulus.p ** k - exponent.truncate(k).value
+    e = p ** k - y
     if e <= r:
-        view = (PeriodReport(0, _period_of(e, modulus.p)),
-                RationalFn(modulus, (1,), _lucas_kron(e, e + 1, modulus.p)))
+        view = (PeriodReport(0, _period_of(e, p)),
+                RationalFn(modulus, (1,), _lucas_kron(e, e + 1, p)))
     else:
-        view = _coeff_view(pow_binomial(exponent, n), w, r)
+        view = _coeff_view(modulus, _lucas_kron(y, n, p), w, r)
     report, fn = view if view is not None else (None, None)
     return RationalityReport(
         integer_verdict=verdict,
@@ -563,13 +563,15 @@ def enumerate_endomorphisms(modulus: Prime, precision: int) -> list[OneUnit]:
     These are the N powers (1+x)^m with m < N (see
     :func:`is_endomorphism_bivariate`).  The census is defined over all
     p^(N-1) candidate tails and is still refused, with
-    TooLargeToEnumerate, beyond 2^20 of them.
+    TooLargeToEnumerate, beyond 2^20 of them; as p >= 2, that is any
+    N > 21, and a count past 2^4096 is named p^(N-1), not computed.
     """
     if precision < 1:
         raise ValueError("precision must be at least 1")
     p, n = modulus.p, precision
-    count = p ** (n - 1)
-    if count > 1 << 20:
+    if n - 1 > 20 or p ** (n - 1) > 1 << 20:
+        count = (p ** (n - 1) if (n - 1) * p.bit_length() <= 4096
+                 else f"{p}^{n - 1}")
         raise TooLargeToEnumerate(
             f"{count} candidates at p={p}, N={n}; refusing beyond 2^20")
     powers = (OneUnit(TruncSeries(modulus, _lucas_kron(m, n, p)))

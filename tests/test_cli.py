@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -303,6 +304,18 @@ def test_enumerate_refuses_large(capsys):
     code, _, err = run(capsys, "enumerate", "-p", "2", "-N", "22")
     assert code == 1
     assert "2^20" in err
+
+
+def test_enumerate_refuses_huge_precision_at_once(capsys):
+    """p^(N-1) is neither formed nor printed past 2^4096: a domain error."""
+    for p, n, count in (("2", "200000", "2^199999"),
+                        ("2147483647", "1048576", "2147483647^1048575")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "enumerate", "-p", p, "-N", n)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (1, "")
+        assert err == (f"{count} candidates at p={p}, N={n}; "
+                       "refusing beyond 2^20\n")
 
 
 # -- argument handling -------------------------------------------------------------------

@@ -43,6 +43,20 @@ def test_raw_constructor_wants_residues():
         TruncSeries(P3, [1, 2**70])
 
 
+def test_series_owns_its_coefficients():
+    """The constructor copies: a later write to the caller's array does not
+    reach the series, and the caller's array stays writable."""
+    a = np.array([1, 2, 0, 1])
+    s = TruncSeries(P3, a[:3])
+    a[1] = 0
+    assert s.coeffs.tolist() == [1, 2, 0]
+    b = np.array([1, 2, 0], dtype=np.int64)
+    t = TruncSeries(P3, b)
+    b[0] = 2
+    assert b.flags.writeable
+    assert t.coeffs.tolist() == [1, 2, 0] and not t.coeffs.flags.writeable
+
+
 def test_rejects_empty():
     with pytest.raises(ValueError):
         series(2, [])

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -532,11 +533,54 @@ def test_compose_multiplies_exponents(pn, data):
 @pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
 def test_read_off_is_total_at_precision_one(p):
     one = unit(p, [1])
-    assert _read_off(one) == (exp_int(p, 0, 1), one.series)
+    assert _read_off(one) == ([0], 0, True)
     assert compose_unit(one, one) == one
     assert is_endomorphism_bivariate(one)
     with pytest.raises(PrecisionExhausted, match="precision 1 determines"):
         recover_exponent(one)
+
+
+def _count_checked_objects(monkeypatch):
+    """Count the validated objects built from here on, by class name."""
+    built = {}
+    for cls in (TruncSeries, PadicApprox, OneUnit):
+        def spy(self, _check=cls.__post_init__, _name=cls.__name__):
+            built[_name] = built.get(_name, 0) + 1
+            _check(self)
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    return built
+
+
+@pytest.mark.parametrize("p, n", [(2, 7), (2, 128), (3, 100), (7, 49),
+                                  (2**31 - 1, 16)])
+def test_read_off_builds_checked_objects_only_for_answers(p, n, monkeypatch):
+    """recover, the theorem and the box on a power (1+x)^m, m < N, read
+    u's coefficients and compare them with the Lucas kernel; only the y
+    that recover returns becomes a PadicApprox.  The theorem on a
+    non-power and the Euclid branch of the rationality report, which
+    runs on the kernel's (1+x)^Y, build none."""
+    k = digits_for_precision(Prime(p), n)
+    y = exp_int(p, p ** k - 3 * n // 4 - 1, k + 2)
+    power = pow_binomial(y, n)
+    values = power.series.coeffs.tolist()
+    values[-1] = (values[-1] + 1) % p
+    non_power = unit(p, values)
+    box_power = pow_binomial(exp_int(p, n // 2, k), n)     # m < N passes
+    w, r = n // 8, max(1, n // 8)
+    assert p ** k - y.truncate(k).value > r     # not read off: the Euclid
+    built = _count_checked_objects(monkeypatch)
+    recover_exponent(power)
+    assert built == {"PadicApprox": 1}
+    built.clear()
+    assert is_endomorphism_via_theorem(power)
+    assert built == {"PadicApprox": 1}
+    built.clear()
+    assert not is_endomorphism_via_theorem(non_power)
+    assert built == {}
+    assert is_endomorphism_bivariate(box_power)
+    assert built == {}
+    rationality_report(y, n, w, r)
+    assert built == {}
 
 
 def test_compose_unit_checks_compatibility_first():
@@ -757,6 +801,11 @@ def test_period_of_is_the_order_of_x(p, e):
                    for q in {2, p} if n % q == 0)
 
 
+def _view(u, w, r):
+    """The coefficient view of the one-unit u's stream."""
+    return _coeff_view(u.modulus, u.series.coeffs, w, r)
+
+
 @given(st.sampled_from([2, 3, 5, 7, 65537, 2**31 - 1]), st.data())
 def test_coeff_view_reports_the_order_of_x(p, data):
     """On the stream of P/den, den no power of 1+x, the coefficient view
@@ -806,15 +855,15 @@ def test_coeff_view_reports_the_order_of_x(p, data):
         u = OneUnit(fn.expand(n))
         found = order is not None and order <= r and lead <= w
         want = (PeriodReport(lead, order), fn) if found else None
-        assert _coeff_view(u, w, r) == want, (fn, w, r, n)
+        assert _view(u, w, r) == want, (fn, w, r, n)
         assert detect_coeff_period(u, w, r) == (want and want[0])
 
 
 def test_coeff_view_bounds_other_denominators_by_max_period():
     """1/(1+x+x^4) over F_2 has period 15: no report at R = 8, one at 16."""
     u = OneUnit(RationalFn(P2, (1,), (1, 1, 0, 0, 1)).expand(64))
-    assert _coeff_view(u, 8, 8) is None
-    report, fn = _coeff_view(u, 8, 16)
+    assert _view(u, 8, 8) is None
+    report, fn = _view(u, 8, 16)
     assert report == PeriodReport(0, 15) == detect_coeff_period(u, 8, 16)
     assert fn == RationalFn(P2, (1,), (1, 1, 0, 0, 1))
 
@@ -858,7 +907,7 @@ def test_coeff_view_matches_the_pade_oracle(pn, data):
     top = (n - w) // 2
     r = data.draw(st.one_of(st.just(top), st.integers(1, top)), label="R")
     assert _reported_view(exponent, n, w, r) == \
-        _coeff_view(pow_binomial(exponent, n), w, r)
+        _view(pow_binomial(exponent, n), w, r)
 
 
 COEFF_VIEW_GRID = ((2, 16), (2, 12), (3, 9), (3, 7), (5, 5), (5, 8), (7, 7))
@@ -874,7 +923,7 @@ def test_coeff_view_matches_the_pade_oracle_exhaustively():
             for w in range(n - 1):
                 for r in range(1, (n - w) // 2 + 1):
                     assert _reported_view(exponent, n, w, r) == \
-                        _coeff_view(u, w, r), (p, n, y, w, r)
+                        _view(u, w, r), (p, n, y, w, r)
 
 
 @pytest.mark.parametrize("p, n, w, r", [(3, 256, 32, 112), (5, 256, 32, 112),
@@ -888,9 +937,9 @@ def test_power_fraction_reads_exactly_the_type_range(p, n, w, r, monkeypatch):
     q = p ** k
     euclid_calls = []
 
-    def counting_view(u, w, r):
-        euclid_calls.append(u)
-        return _coeff_view(u, w, r)
+    def counting_view(modulus, coeffs, w, r):
+        euclid_calls.append(coeffs)
+        return _coeff_view(modulus, coeffs, w, r)
 
     monkeypatch.setattr(units, "_coeff_view", counting_view)
     for e in (r + 1, r, 1, q, q - 1, q - w - r + 1, q - w - r):
@@ -907,7 +956,7 @@ def test_power_fraction_reads_exactly_the_type_range(p, n, w, r, monkeypatch):
         else:
             assert len(euclid_calls) == 1
         assert _reported_view(exponent, n, w, r) == \
-            _coeff_view(pow_binomial(exponent, n), w, r)
+            _view(pow_binomial(exponent, n), w, r)
 
 
 def test_coeff_view_falls_back_to_the_euclid():
@@ -919,7 +968,7 @@ def test_coeff_view_falls_back_to_the_euclid():
     report = rationality_report(exponent, 12, 6, 3)
     fn = RationalFn(P2, (1, 0, 0, 0, 1, 0, 0, 0, 1), (1, 1, 1, 1))
     assert (report.coeff_period, report.rational) == (PeriodReport(6, 4), fn)
-    assert _coeff_view(pow_binomial(exponent, 12), 6, 3) == \
+    assert _view(pow_binomial(exponent, 12), 6, 3) == \
         (PeriodReport(6, 4), fn)
 
 
@@ -977,6 +1026,21 @@ def test_enumerate_matches_box_filter_off_prime_powers(p, n):
 def test_enumerate_refuses_large_spaces():
     with pytest.raises(TooLargeToEnumerate):
         enumerate_endomorphisms(P2, 22)
+
+
+@pytest.mark.parametrize("p, n, count", [(2, 22, "2097152"),
+                                         (2, 20000, "2^19999"),
+                                         (2**31 - 1, 2**20, "2147483647^1048575")])
+def test_enumerate_refuses_without_forming_huge_counts(p, n, count):
+    """N - 1 > 20 tails exceed 2^20 for any p; a count past 2^4096 is
+    named p^(N-1), not formed, so the refusal is immediate."""
+    P = Prime(p)
+    start = time.perf_counter()
+    with pytest.raises(TooLargeToEnumerate) as exc:
+        enumerate_endomorphisms(P, n)
+    assert time.perf_counter() - start < 0.5
+    assert str(exc.value) == \
+        f"{count} candidates at p={p}, N={n}; refusing beyond 2^20"
 
 
 def test_linear_coefficient_vanishes_iff_frobenius_image():
