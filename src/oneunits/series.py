@@ -38,6 +38,41 @@ def _convolve_mod(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
     return out
 
 
+def _pow_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a^e mod x^len(a) by square-and-multiply, for e >= 0; a^0 is 1.
+
+    The result may be a itself (e = 1), so callers only read it.
+    """
+    n, out = len(a), None
+    while e:
+        if e & 1:
+            out = a if out is None else _convolve_mod(out, a, n, p)
+        e >>= 1
+        if e:
+            a = _convolve_mod(a, a, n, p)
+    if out is None:
+        out = np.zeros(n, dtype=np.int64)
+        out[0] = 1
+    return out
+
+
+def _hasse(coeffs: np.ndarray, m: int, p: int) -> np.ndarray:
+    """The m-th Hasse derivative of the series coeffs, mod x^(N-m).
+
+    The weights C(m + j, m) = (-1)^j C(-m-1, j) come from the Lucas
+    kernel on the p-adic digits of -m-1, so no division by p ever happens.
+    """
+    if m < 0:
+        raise ValueError("derivative order must be nonnegative")
+    n = len(coeffs)
+    if m >= n:
+        raise PrecisionExhausted(
+            f"order {m} exceeds what precision {n} supports")
+    out = coeffs[m:] * _lucas_kron(-m - 1, n - m, p)
+    out[1::2] *= -1
+    return out % p
+
+
 @dataclass(frozen=True, eq=False)
 class TruncSeries:
     """A power series known modulo x^N, coefficients in F_p."""
@@ -135,18 +170,10 @@ class TruncSeries:
         return TruncSeries(self.modulus, prod)
 
     def pow_int(self, e: int) -> "TruncSeries":
-        """Nonnegative integer power by square-and-multiply."""
+        """Nonnegative integer power, by :func:`_pow_mod` on the array."""
         if e < 0:
             raise ValueError("pow_int expects a nonnegative exponent")
-        out = TruncSeries.constant(self.modulus, self.precision)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return TruncSeries(self.modulus, _pow_mod(self.coeffs, e, self.modulus.p))
 
     def truncate(self, precision: int) -> "TruncSeries":
         """Forget coefficients at and above x^precision."""
@@ -179,19 +206,10 @@ class TruncSeries:
     def hasse_derivative(self, m: int) -> "TruncSeries":
         """The m-th Hasse derivative: x^n maps to C(n, m) x^(n-m).
 
-        The weights C(m + j, m) = (-1)^j C(-m-1, j) come from the Lucas
-        kernel on the p-adic digits of -m-1, so no division by p ever
-        happens.  The result is only known modulo x^(N-m).
+        The result is only known modulo x^(N-m); :func:`_hasse` computes
+        it on the array.
         """
-        if m < 0:
-            raise ValueError("derivative order must be nonnegative")
-        n, p = self.precision, self.modulus.p
-        if m >= n:
-            raise PrecisionExhausted(
-                f"order {m} exceeds what precision {n} supports")
-        out = self.coeffs[m:] * _lucas_kron(-m - 1, n - m, p)
-        out[1::2] *= -1
-        return TruncSeries(self.modulus, out % p)
+        return TruncSeries(self.modulus, _hasse(self.coeffs, m, self.modulus.p))
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
         """f(inner) for an inner series with zero constant term (Horner)."""

@@ -11,17 +11,18 @@ and the two-variable product comparison f(x)f(y) = f(x + y + xy)
 (:func:`is_endomorphism_bivariate`), decided by the same read-off and
 located row by row through Hasse derivatives.  A non-power is rejected
 by read-off too: its residual u (1+x)^(-y) is the kernel on -y, since
-(1+x)^(-y) inverts (1+x)^y mod x^N once p^K >= N.  Read-offs work on
-the kernel's arrays and y; only an answer becomes a checked object.
-On top of those sit composition (a power f = (1+x)^y acts on g as g^y,
-by the same Frobenius product), automorphism inversion, the
-Hasse-derivative identity, and the rationality probes that compare what
-the digits of y say with what the coefficient stream of f shows.  Mod
-x^N the power depends only on Y = y mod q, q = p^k >= N, and
-(1+x)^Y (1+x)^(q-Y) = 1 + x^q = 1 there, so the stream of 1/(1+x)^e,
-e = q - Y, is read off the digits of y; the extended Euclid reconstructs
-the fraction of every other stream, the kernel's (1+x)^Y, and its period
-is read off that stream unless the denominator is a power of 1 + x.
+(1+x)^(-y) inverts (1+x)^y mod x^N once p^K >= N.  Read-offs, the
+Frobenius product and the Hasse rows work on int64 arrays; only an
+answer becomes a checked object.  On top of those sit composition (a
+power f = (1+x)^y acts on g as g^y, by the same Frobenius product),
+automorphism inversion, the Hasse-derivative identity, and the
+rationality probes that compare what the digits of y say with what the
+coefficient stream of f shows.  Mod x^N the power depends only on
+Y = y mod q, q = p^k >= N, and (1+x)^Y (1+x)^(q-Y) = 1 + x^q = 1 there,
+so the stream of 1/(1+x)^e, e = q - Y, is read off the digits of y; the
+extended Euclid reconstructs the fraction of every other stream, the
+kernel's (1+x)^Y, and its period is read off that stream unless the
+denominator is a power of 1 + x.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .fp import Prime, _lucas_kron
 from .padic import IntegerVerdict, PadicApprox, _from_digits
 from .periodic import PeriodReport, find_period
 from .ratfn import RationalFn, _padded, from_pade, from_period
-from .series import TruncSeries, _convolve_mod
+from .series import TruncSeries, _convolve_mod, _hasse, _pow_mod
 
 __all__ = [
     "OneUnit",
@@ -153,18 +154,20 @@ def pow_binomial(exponent: PadicApprox, precision: int) -> OneUnit:
     return OneUnit(TruncSeries(exponent.modulus, _lucas_kron(y, precision, p)))
 
 
-def _frobenius_power(base: TruncSeries, digits: Iterable[int]) -> TruncSeries:
-    """prod_i base(x^q)^(d_i) mod x^N, q = p^i: base^y for y = sum d_i p^i.
+def _frobenius_power(base: np.ndarray, digits: Iterable[int],
+                     p: int) -> np.ndarray:
+    """prod_i base(x^q)^(d_i) mod x^N, q = p^i, N = len(base): base^y for
+    y = sum d_i p^i.
 
     Over F_p, base(x)^q = base(x^q), and factor i only matters below
-    x^ceil(N/q), so h = base^(d_i) is taken there, and at no more than
-    its d_i deg(base) + 1 terms.  h(x^q) is multiplied in by shifted adds
-    over the nonzero terms of h or by one convolution per residue class
-    mod q, whichever is fewer, so no dense length-N product with a sparse
-    factor is formed.
+    x^L, L = ceil(N/q), so h = base^(d_i) is taken there, and at no more
+    than its d_i deg(base) + 1 terms.  Multiplying by h(x^q) multiplies
+    each residue class mod q of the product so far by h, so the q classes
+    are laid end to end as columns of length L, len(h) - 1 zeros apart,
+    and one convolution with h multiplies them all.
     """
-    n, p = base.precision, base.modulus.p
-    degree = int(np.flatnonzero(base.coeffs)[-1])
+    n = len(base)
+    degree = int(np.flatnonzero(base)[-1])
     acc = np.zeros(n, dtype=np.int64)
     acc[0] = 1
     q = 1
@@ -172,20 +175,16 @@ def _frobenius_power(base: TruncSeries, digits: Iterable[int]) -> TruncSeries:
         if q >= n:
             break
         if d:
-            h = base.truncate(min(-(-n // q), d * degree + 1)).pow_int(d).coeffs
-            terms = np.flatnonzero(h)
-            out = np.zeros(n, dtype=np.int64)
-            if len(terms) <= q:
-                for k in terms.tolist():
-                    s = k * q
-                    out[s:] = (out[s:] + int(h[k]) * acc[:n - s]) % p
-            else:
-                for r in range(q):
-                    column = acc[r::q]
-                    out[r::q] = _convolve_mod(column, h, len(column), p)
-            acc = out
+            cols = -(-n // q)
+            h = _pow_mod(base[:min(cols, d * degree + 1)], d, p)
+            lanes = np.zeros(q * (cols + len(h) - 1), dtype=np.int64)
+            classes = lanes.reshape(q, -1)[:, :cols].T    # [k, r] is x^(kq+r)
+            classes.flat[:n] = acc
+            span = len(lanes) - len(h) + 1   # no zeros after the last class
+            lanes[:span] = _convolve_mod(lanes[:span], h, span, p)
+            acc = classes.ravel()[:n]
         q *= p
-    return TruncSeries(base.modulus, acc)
+    return acc
 
 
 def pow_product(exponent: PadicApprox, precision: int) -> OneUnit:
@@ -196,8 +195,11 @@ def pow_product(exponent: PadicApprox, precision: int) -> OneUnit:
     behind :func:`pow_binomial`, and agrees with it on every input.
     """
     _check_digit_window(exponent, precision)
-    one_plus_x = TruncSeries.one_plus_x(exponent.modulus, precision)
-    return OneUnit(_frobenius_power(one_plus_x, exponent.digits))
+    one_plus_x = np.zeros(precision, dtype=np.int64)
+    one_plus_x[:2] = 1
+    modulus = exponent.modulus
+    return OneUnit(TruncSeries(modulus, _frobenius_power(
+        one_plus_x, exponent.digits, modulus.p)))
 
 
 def _read_off(u: OneUnit) -> tuple[list[int], int, bool]:
@@ -260,13 +262,13 @@ class BoxVerdict:
         return self.mismatch is None
 
 
-def _hasse_row(f: TruncSeries, m: int, length: int) -> np.ndarray:
-    """(1+x)^m D^m f mod x^length, for m < N and length <= N.
+def _hasse_row(coeffs: np.ndarray, m: int, length: int, p: int) -> np.ndarray:
+    """(1+x)^m D^m f mod x^length, f the series coeffs, for m < N and
+    length <= N.
 
     The shift (1+x)^m is cut at its degree m.
     """
-    p = f.modulus.p
-    derivative = f.hasse_derivative(m).coeffs[:length]
+    derivative = _hasse(coeffs, m, p)[:length]
     shift = _lucas_kron(m, min(length, m + 1), p)
     return _convolve_mod(shift, derivative, length, p)
 
@@ -288,10 +290,10 @@ def is_endomorphism_bivariate(u: OneUnit) -> BoxVerdict:
     _, y, matches = _read_off(u)
     if matches and y < n:
         return BoxVerdict(None)
-    f, p = u.series, u.modulus.p
+    coeffs, p = u.series.coeffs, u.modulus.p
     for i in range(1, n):            # row 0 is f = a_0 f
         differs = np.flatnonzero(
-            _hasse_row(f, i, n) != f.coeffs * int(f.coeffs[i]) % p)
+            _hasse_row(coeffs, i, n, p) != coeffs * int(coeffs[i]) % p)
         if differs.size:
             return BoxVerdict((i, int(differs[0])))
     raise AssertionError("a box that fails the read-off has a mismatching row")
@@ -328,9 +330,9 @@ def hasse_identity_check(u: OneUnit, m: int) -> bool:
     precision, so one failing order certifies a non-power.  An order
     outside [0, N) raises as :meth:`TruncSeries.hasse_derivative` does.
     """
-    f, rest = u.series, u.precision - m
-    rhs = _hasse_row(f, m, rest)
-    lhs = f.coeffs[:rest] * u.coefficient(m) % f.modulus.p
+    coeffs, p, rest = u.series.coeffs, u.modulus.p, u.precision - m
+    rhs = _hasse_row(coeffs, m, rest, p)
+    lhs = coeffs[:rest] * u.coefficient(m) % p
     return bool(np.array_equal(lhs, rhs))
 
 
@@ -355,7 +357,8 @@ def compose_unit(f: OneUnit, g: OneUnit) -> OneUnit:
     f.series._check_compatible(g.series)
     digits, _, matches = _read_off(f)
     if matches:
-        return OneUnit(_frobenius_power(g.series, digits))
+        return OneUnit(TruncSeries(g.modulus, _frobenius_power(
+            g.series.coeffs, digits, g.modulus.p)))
     inner = np.array(g.series.coeffs, dtype=np.int64)
     inner[0] = 0
     return OneUnit(f.series.compose(TruncSeries(g.modulus, inner)))

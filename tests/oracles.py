@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive: Pascal's triangle instead of digit
 products, schoolbook convolution instead of numpy, long division for digit
-streams, square-and-multiply over full-length series instead of Frobenius
+streams, a left-to-right square-and-multiply of its own over full-length
+series or plain lists instead of the package's kernel and Frobenius
 products, a Newton inverse instead of the expansion of (1+x)^(-y), and
 the built N-by-N box instead of its read-off.  Slow but obviously
 correct.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -166,14 +168,30 @@ def brute_period(symbols, max_preperiod: int, max_period: int):
     return None
 
 
+def power_by_squaring(base, e: int, mul, one):
+    """base^e by left-to-right square-and-multiply over mul; one is base^0.
+
+    It walks the bits of e from the top, unlike the package's kernel, and
+    takes any multiplication: `*` on series, or naive_mul on lists.
+    """
+    out = one
+    for bit in bin(e)[2:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, base)
+    return out
+
+
 def squaring_pow_product(exponent, precision: int) -> TruncSeries:
     """(1+x)^y mod x^N as the product of full-length (1 + x^(p^i))^(d_i).
 
-    Each factor is raised by square-and-multiply at precision N, with no
-    Frobenius shortcut; factors with p^i >= N are trivial and skipped.
+    Each factor is raised by square-and-multiply over `*` at precision N,
+    with no Frobenius shortcut; factors with p^i >= N are trivial and
+    skipped.
     """
     modulus = exponent.modulus
-    acc = TruncSeries.constant(modulus, precision)
+    one = TruncSeries.constant(modulus, precision)
+    acc = one
     q = 1
     for d in exponent.digits:
         if q >= precision:
@@ -182,7 +200,8 @@ def squaring_pow_product(exponent, precision: int) -> TruncSeries:
             factor = np.zeros(precision, dtype=np.int64)
             factor[0] = 1
             factor[q] = 1
-            acc = acc * TruncSeries(modulus, factor).pow_int(d)
+            acc = acc * power_by_squaring(TruncSeries(modulus, factor), d,
+                                          operator.mul, one)
         q *= modulus.p
     return acc
 

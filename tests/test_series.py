@@ -11,8 +11,9 @@ from oneunits import (ModulusMismatch, NonUnitConstantTerm,
                       NonzeroConstantInner, PadicApprox, Prime,
                       PrecisionExhausted, ShapeMismatch, TruncSeries,
                       pow_product)
+from oneunits.series import _pow_mod
 from oracles import (block_base, frobenius, naive_mul, outer_product,
-                     pascal_binom, subst_group_law)
+                     pascal_binom, power_by_squaring, subst_group_law)
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -100,6 +101,25 @@ def test_fourth_power_char_3():
 def test_pow_int_rejects_negative():
     with pytest.raises(ValueError):
         TruncSeries.one_plus_x(P2, 3).pow_int(-1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65537, 2**31 - 1])
+@pytest.mark.parametrize("which", ["0", "1", "2", "p-1", "p", "random"])
+def test_pow_mod_matches_left_to_right_squaring(p, which):
+    """_pow_mod and pow_int give a^e mod x^len(a) at every length from 1,
+    a^0 being 1; p = 2^31 - 1 takes the exact object convolution."""
+    rng = random.Random(f"{p} {which}")
+    for n in range(1, 10):
+        a = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
+        a.setflags(write=False)                 # the kernel only reads a
+        e = {"0": 0, "1": 1, "2": 2, "p-1": p - 1, "p": p,
+             "random": rng.randrange(3, 10**12)}[which]
+        want = power_by_squaring(a.tolist(), e,
+                                 lambda u, v: naive_mul(u, v, p, n),
+                                 [1] + [0] * (n - 1))
+        got = _pow_mod(a, e, p)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert TruncSeries(Prime(p), a).pow_int(e).coeffs.tolist() == want
 
 
 def test_mixed_precision_rejected():

@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,7 +20,8 @@ from oneunits import (ModulusMismatch, NonUnitExponent, NotAnEndomorphism,
                       is_endomorphism_via_theorem, pow_binomial, pow_product,
                       rationality_report, recover_exponent)
 from oneunits import units
-from oneunits.units import _coeff_view, _integer_view, _period_of, _read_off
+from oneunits.units import (_coeff_view, _frobenius_power, _integer_view,
+                            _period_of, _read_off)
 from oracles import (brute_period, newton_residual_stage, order_of_x_mod,
                      outer_product, pascal_binom, squaring_pow_product,
                      staged_descent, subst_group_law)
@@ -581,6 +583,50 @@ def test_read_off_builds_checked_objects_only_for_answers(p, n, monkeypatch):
     assert built == {}
     rationality_report(y, n, w, r)
     assert built == {}
+
+
+def test_frobenius_product_builds_only_its_answer(monkeypatch):
+    """pow_product and compose_unit on a power run the Frobenius product
+    on arrays and build one series, the answer; the box rows of a power
+    (1+x)^m with m >= N run on arrays and build none."""
+    y = exp_int(2, 77, 7)
+    f, g = pow_binomial(y, 128), pow_binomial(exp_int(2, 45, 7), 128)
+    fg = pow_binomial(exp_int(2, 77 * 45, 7), 128)
+    past_n = pow_binomial(exp_int(3, 167, 5), 100)
+    built = _count_checked_objects(monkeypatch)
+    assert pow_product(y, 128) == f
+    assert built == {"TruncSeries": 1, "OneUnit": 1}
+    built.clear()
+    assert compose_unit(f, g) == fg
+    assert built == {"TruncSeries": 1, "OneUnit": 1}
+    built.clear()
+    assert not is_endomorphism_bivariate(past_n)
+    assert built == {}
+
+
+# (p, N, g, digits of y), each case on an edge of the Frobenius layout
+FROBENIUS_EDGES = [
+    (3, 10, [1, 1], (2, 1, 1)),      # q = 3, 9 divide no N: ragged classes
+    (2, 20, [1, 1, 1], (1, 1, 1, 1, 1)),   # q = 8, 16 >= ceil(N/q) = 3, 2
+    (5, 30, [1], (3, 4, 2)),         # g = 1: len(h) = 1 at every digit
+    (7, 60, [1, 3, 0, 2], (1, 2, 1)),      # d deg + 1 = 4, 7 < L = 60, 9
+    (2, 12, [1, 0, 1], (1, 0, 1, 1, 1, 1, 1)),   # digits past p^4 >= N
+    (2**31 - 1, 40, [1, 5, 7], (2**31 - 2, 3)),  # object path, digit past N
+]
+
+
+@pytest.mark.parametrize("p, n, g, digits", FROBENIUS_EDGES)
+def test_frobenius_power_at_layout_edges(p, n, g, digits):
+    """g^y by the Frobenius product is f(g - 1), f = (1+x)^y, by Horner."""
+    P = Prime(p)
+    base = np.zeros(n, dtype=np.int64)
+    base[:len(g)] = g
+    k = digits_for_precision(P, n)
+    f = pow_binomial(PadicApprox(P, digits + (0,) * (k - len(digits))), n)
+    inner = base.copy()
+    inner[0] = 0
+    want = f.series.compose(TruncSeries(P, inner))
+    assert _frobenius_power(base, digits, p).tolist() == want.coeffs.tolist()
 
 
 def test_compose_unit_checks_compatibility_first():
