@@ -19,9 +19,11 @@ automorphism inversion, the Hasse-derivative identity, and the
 rationality probes that compare what the digits of y say with what the
 coefficient stream of f shows.  Mod x^N the power depends only on
 Y = y mod q, q = p^k >= N, and (1+x)^Y (1+x)^(q-Y) = 1 + x^q = 1 there,
-so the stream of 1/(1+x)^e, e = q - Y, is read off the digits of y; the
-extended Euclid reconstructs the fraction of every other stream, the
-kernel's (1+x)^Y, and its period is read off that stream unless the
+so the stream of 1/(1+x)^e, e = q - Y, is read off the digits of y.  A
+degree count shows that no fraction of the window's type fits when
+W <= Y < N - R or e + W + R - 1 < N; the extended Euclid reconstructs
+the fraction of every other stream, the kernel's (1+x)^Y, polynomials
+Y < W included, and its period is read off that stream unless the
 denominator is a power of 1 + x.
 """
 
@@ -455,7 +457,11 @@ def _coeff_view(modulus: Prime, coeffs: np.ndarray, w: int,
     by the extended Euclid; W + 2R <= N is the caller's.  Q = (1+x)^e has
     the period of :func:`_period_of`; for any other Q, a period <= R after
     a preperiod <= W on the stream is a fraction of type (W + R - 1, R)
-    equal to P/Q on W + 2R terms, so :func:`find_period` reads it off."""
+    equal to P/Q on W + 2R terms, so :func:`find_period` reads it off.
+    :func:`rationality_report` calls it on (1+x)^Y only where no degree
+    count rules a fit out: Y < W, whose polynomial (1+x)^Y / 1 the Euclid
+    returns before its first division, or Y >= N - R with
+    e + W + R - 1 >= N, e = p^k - Y > R."""
     fn = from_pade(modulus, coeffs, w + r - 1, r)
     if fn is None or not _expands_to(fn, coeffs):
         return None
@@ -526,9 +532,15 @@ def rationality_report(exponent: PadicApprox, precision: int,
     W + 2R > N.  Y = y mod q, q = p^k the least power >= N, is read once
     off the first k digits of y; the fraction 1/(1+x)^e, e = q - Y,
     needs no search when e <= R: (1+x)^Y (1+x)^e = 1 + x^q = 1 mod x^N,
-    and it is the reduced fraction of that type.  For any other Y the
-    extended Euclid of :func:`from_pade` runs on the Lucas kernel's
-    (1+x)^Y, polynomial or not.  R bounds the degree of the denominator,
+    and it is the reduced fraction of that type.  For e > R a degree
+    count rules out every fit P/Q, Q (1+x)^Y = P mod x^N, in two ranges,
+    and the view is None with no search.  If Y + R < N, then
+    Q (1+x)^Y = P as polynomials, so the only fit is (1+x)^Y / 1, whose
+    preperiod Y + 1 exceeds W once Y >= W.  If e + W + R - 1 < N, then
+    P (1+x)^e = Q as polynomials, since (1+x)^Y (1+x)^e = 1 mod x^N,
+    which forces e <= R.  For every other Y the extended Euclid of
+    :func:`from_pade` runs on the Lucas kernel's (1+x)^Y, the polynomials
+    Y < W among them.  R bounds the degree of the denominator,
     not the period: 1/(1+x)^e has period 2p^ceil(log_p e)
     (2^ceil(log_2 e) for p = 2), which may exceed R and even N/2; any
     other denominator is accepted only with period at most R.  Wherever
@@ -549,6 +561,8 @@ def rationality_report(exponent: PadicApprox, precision: int,
     if e <= r:
         view = (PeriodReport(0, _period_of(e, p)),
                 RationalFn(modulus, (1,), _lucas_kron(e, e + 1, p)))
+    elif w <= y < n - r or e + w + r - 1 < n:
+        view = None
     else:
         view = _coeff_view(modulus, _lucas_kron(y, n, p), w, r)
     report, fn = view if view is not None else (None, None)

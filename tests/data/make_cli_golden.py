@@ -102,6 +102,12 @@ ARGVS = [
     ["enumerate", "-p", "3", "-N", "3", "--json"],
     ["enumerate", "-p", "2", "-N", "22"],
     ["enumerate", "-p", "2", "-N", "0"],
+    # rationality at q = 81, W = R = 8, appended so that the ids above
+    # stay: Y = 60 has no fit since 21 + W + R - 1 < N, Y = 8 = W none
+    # since W <= Y < N - R, and the polynomial Y = 7 < W fits
+    ["rationality", "-p", "3", "-N", "64", "--y", "60"],
+    ["rationality", "-p", "3", "-N", "64", "--y", "7"],
+    ["rationality", "-p", "3", "-N", "64", "--y", "8"],
 ]
 
 

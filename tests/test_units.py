@@ -939,28 +939,57 @@ def _reported_view(exponent, n, w, r):
     return report.coeff_period, report.rational
 
 
+def _spy_coeff_view(monkeypatch):
+    """Record each stream that rationality_report hands to the Euclid."""
+    calls = []
+
+    def recording_view(modulus, coeffs, w, r):
+        calls.append(coeffs)
+        return _coeff_view(modulus, coeffs, w, r)
+
+    monkeypatch.setattr(units, "_coeff_view", recording_view)
+    return calls
+
+
+def _euclid_runs(q, y, n, w, r):
+    """The Euclid runs on (1+x)^Y, e = q - Y, exactly when e > R (else
+    1/(1+x)^e is read off), Y is outside [W, N - R) (inside, the only fit
+    (1+x)^Y / 1 has preperiod Y + 1 > W) and e + W + R - 1 >= N (below,
+    a fit forces P (1+x)^e = Q, so e <= R)."""
+    e = q - y
+    return e > r and not w <= y < n - r and e + w + r - 1 >= n
+
+
 @given(SMALL_OR_LARGE_PRIME, st.data())
 def test_coeff_view_matches_the_pade_oracle(pn, data):
     """The report's coefficient view is the extended Euclid's on (1+x)^y,
-    whether 1/(1+x)^(q-Y) is read off or the Euclid runs.
+    whether 1/(1+x)^(q-Y) is read off, no fraction can fit, or the
+    Euclid runs, and the Euclid runs by :func:`_euclid_runs`, at small
+    p and at p = 65537 and 2^31 - 1.
 
     Windows W + 2R <= N, half of them tight (W + 2R = N - 1 or N).
     """
     p, n = pn
     n = max(n, 2)
+    q = p ** digits_for_precision(Prime(p), n)
     exponent = _draw_power(data, p, n)
     w = data.draw(st.integers(0, n - 2), label="W")
     top = (n - w) // 2
     r = data.draw(st.one_of(st.just(top), st.integers(1, top)), label="R")
-    assert _reported_view(exponent, n, w, r) == \
-        _view(pow_binomial(exponent, n), w, r)
+    with pytest.MonkeyPatch.context() as mp:
+        euclid_calls = _spy_coeff_view(mp)
+        view = _reported_view(exponent, n, w, r)
+    assert view == _view(pow_binomial(exponent, n), w, r)
+    assert len(euclid_calls) == _euclid_runs(q, exponent.value % q, n, w, r)
 
 
 COEFF_VIEW_GRID = ((2, 16), (2, 12), (3, 9), (3, 7), (5, 5), (5, 8), (7, 7))
 
 
-def test_coeff_view_matches_the_pade_oracle_exhaustively():
-    """Every Y < q and every window W + 2R <= N, at small p and N."""
+def test_coeff_view_matches_the_pade_oracle_exhaustively(monkeypatch):
+    """Every Y < q and every window W + 2R <= N, at small p and N: the
+    view is the Euclid's and the Euclid runs by :func:`_euclid_runs`."""
+    euclid_calls = _spy_coeff_view(monkeypatch)
     for p, n in COEFF_VIEW_GRID:
         k = digits_for_precision(Prime(p), n)
         for y in range(p ** k):
@@ -968,8 +997,11 @@ def test_coeff_view_matches_the_pade_oracle_exhaustively():
             u = pow_binomial(exponent, n)
             for w in range(n - 1):
                 for r in range(1, (n - w) // 2 + 1):
+                    euclid_calls.clear()
                     assert _reported_view(exponent, n, w, r) == \
                         _view(u, w, r), (p, n, y, w, r)
+                    assert len(euclid_calls) == \
+                        _euclid_runs(p ** k, y, n, w, r), (p, n, y, w, r)
 
 
 @pytest.mark.parametrize("p, n, w, r", [(3, 256, 32, 112), (5, 256, 32, 112),
@@ -977,18 +1009,17 @@ def test_coeff_view_matches_the_pade_oracle_exhaustively():
                                         (5, 30, 2, 14)])
 def test_power_fraction_reads_exactly_the_type_range(p, n, w, r, monkeypatch):
     """1/(1+x)^(q-Y) is read off for 1 <= q - Y <= R and for no other Y;
-    every other stream, the polynomials (1+x)^Y included, goes to the
-    Euclid.  The first two windows are criterion 7's."""
+    the view is None with no Euclid for W <= Y < N - R and for
+    q - Y + W + R - 1 < N, and every other stream, the polynomials
+    (1+x)^Y with Y < W included, goes to the Euclid.  The first two
+    windows are criterion 7's; Y = W is the first of the middle range,
+    and q - Y = N - W - R the last of the upper one (read off when
+    W + 2R = N)."""
     k = digits_for_precision(Prime(p), n)
     q = p ** k
-    euclid_calls = []
-
-    def counting_view(modulus, coeffs, w, r):
-        euclid_calls.append(coeffs)
-        return _coeff_view(modulus, coeffs, w, r)
-
-    monkeypatch.setattr(units, "_coeff_view", counting_view)
-    for e in (r + 1, r, 1, q, q - 1, q - w - r + 1, q - w - r):
+    euclid_calls = _spy_coeff_view(monkeypatch)
+    for e in (r + 1, r, 1, q, q - 1, q - w - r + 1, q - w - r, q - w,
+              n - w - r):
         exponent = exp_int(p, q - e, k)
         euclid_calls.clear()
         report = rationality_report(exponent, n, w, r)
@@ -1000,18 +1031,20 @@ def test_power_fraction_reads_exactly_the_type_range(p, n, w, r, monkeypatch):
             assert report.coeff_period == \
                 PeriodReport(0, _period_of(e, p))
         else:
-            assert len(euclid_calls) == 1
+            assert len(euclid_calls) == _euclid_runs(q, q - e, n, w, r)
         assert _reported_view(exponent, n, w, r) == \
             _view(pow_binomial(exponent, n), w, r)
 
 
-def test_coeff_view_falls_back_to_the_euclid():
+def test_coeff_view_falls_back_to_the_euclid(monkeypatch):
     """(1+x)^9 over F_2 at N = 12, W = 6, R = 3 is no inverse power:
-    q - 9 = 7 > R, so the Euclid finds (1 + x^4 + x^8) / (1 + x)^3, of
-    preperiod 6 and period 4.
+    q - 9 = 7 > R, 9 >= N - R and 7 + W + R - 1 >= N, so the Euclid runs
+    and finds (1 + x^4 + x^8) / (1 + x)^3, of preperiod 6 and period 4.
     """
+    euclid_calls = _spy_coeff_view(monkeypatch)
     exponent = exp_int(2, 9, 4)
     report = rationality_report(exponent, 12, 6, 3)
+    assert len(euclid_calls) == 1
     fn = RationalFn(P2, (1, 0, 0, 0, 1, 0, 0, 0, 1), (1, 1, 1, 1))
     assert (report.coeff_period, report.rational) == (PeriodReport(6, 4), fn)
     assert _view(pow_binomial(exponent, 12), 6, 3) == \
