@@ -1,10 +1,8 @@
 """The prime field F_p: its modulus and binomials mod p.
 
 Residues are plain integers in [0, p) and :class:`Prime` is the validated
-modulus.  Binomials mod p come from one Lucas kernel for (1+x)^m mod x^n:
-a Kronecker product of Pascal rows, one per block of base-p digits of m
-(a row of one cached table of at most 64 x 64 entries per p, or for
-p > 64 of one digit), which never divides by p and so stays valid in
+modulus.  Binomials mod p come from one Lucas kernel for (1+x)^m mod x^n,
+:func:`_lucas_kron`, which never divides by p and so stays valid in
 characteristic p.  The serialized forms share one field parser.
 """
 

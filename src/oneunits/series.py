@@ -4,8 +4,7 @@ A :class:`TruncSeries` stores its coefficients densely in its own read-only
 numpy vector of residues; index n holds the coefficient of x^n and the vector
 length is the precision N.  Precision is explicit and sticky: binary
 operations demand equal precision (lower one explicitly with
-:meth:`TruncSeries.truncate`), while the Hasse derivative of order m
-returns its result at the reduced precision N - m it supports.
+:meth:`TruncSeries.truncate`).
 """
 
 from __future__ import annotations
@@ -51,8 +50,7 @@ def _pow_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
         if e:
             a = _convolve_mod(a, a, n, p)
     if out is None:
-        out = np.zeros(n, dtype=np.int64)
-        out[0] = 1
+        out = _lucas_kron(0, n, p)
     return out
 
 
@@ -104,17 +102,12 @@ class TruncSeries:
 
     @classmethod
     def constant(cls, modulus: Prime, precision: int, value: int = 1) -> "TruncSeries":
-        arr = np.zeros(precision, dtype=np.int64)
-        arr[0] = value % modulus.p
-        return cls(modulus, arr)
+        p = modulus.p
+        return cls(modulus, _lucas_kron(0, precision, p) * (value % p))
 
     @classmethod
     def one_plus_x(cls, modulus: Prime, precision: int) -> "TruncSeries":
-        arr = np.zeros(precision, dtype=np.int64)
-        arr[0] = 1
-        if precision >= 2:
-            arr[1] = 1
-        return cls(modulus, arr)
+        return cls(modulus, _lucas_kron(1, precision, modulus.p))
 
     # -- basic structure ---------------------------------------------------
 

@@ -9,22 +9,12 @@ y off the coefficient of x^(p^i) and compares the Lucas kernel on y
 with u (:func:`recover_exponent`, :func:`is_endomorphism_via_theorem`),
 and the two-variable product comparison f(x)f(y) = f(x + y + xy)
 (:func:`is_endomorphism_bivariate`), decided by the same read-off and
-located row by row through Hasse derivatives.  A non-power is rejected
-by read-off too: its residual u (1+x)^(-y) is the kernel on -y, since
-(1+x)^(-y) inverts (1+x)^y mod x^N once p^K >= N.  Read-offs, the
+located row by row through Hasse derivatives.  Read-offs, the
 Frobenius product and the Hasse rows work on int64 arrays; only an
-answer becomes a checked object.  On top of those sit composition (a
-power f = (1+x)^y acts on g as g^y, by the same Frobenius product),
+answer becomes a checked object.  On top of those sit composition,
 automorphism inversion, the Hasse-derivative identity, and the
 rationality probes that compare what the digits of y say with what the
-coefficient stream of f shows.  Mod x^N the power depends only on
-Y = y mod q, q = p^k >= N, and (1+x)^Y (1+x)^(q-Y) = 1 + x^q = 1 there,
-so the stream of 1/(1+x)^e, e = q - Y, is read off the digits of y.  A
-degree count shows that no fraction of the window's type fits when
-W <= Y < N - R or e + W + R - 1 < N; the extended Euclid reconstructs
-the fraction of every other stream, the kernel's (1+x)^Y, polynomials
-Y < W included, and its period is read off that stream unless the
-denominator is a power of 1 + x.
+coefficient stream of f shows; :func:`rationality_report` argues its cases.
 """
 
 from __future__ import annotations
@@ -148,8 +138,7 @@ def pow_binomial(exponent: PadicApprox, precision: int) -> OneUnit:
     """(1+x)^y mod x^N, coefficient of x^n being the binomial C(y, n).
 
     Each binomial is a base-p digit product, so K digits of y settle
-    every n < p^K; p^K >= N is demanded up front.  The whole expansion is
-    one Lucas kernel over the digit rows C(y_i, 0), C(y_i, 1), ...
+    every n < p^K; p^K >= N is demanded up front.
     """
     _, y = _check_digit_window(exponent, precision)
     p = exponent.modulus.p
@@ -224,11 +213,10 @@ def recover_exponent(u: OneUnit) -> PadicApprox:
     of y, so the digits with p^i < N are read off and the candidate is
     re-expanded once; only the y returned becomes a PadicApprox.  When
     the expansion differs from u, u is no power of 1+x and
-    NotAnEndomorphism is raised with stage s, the least v_p(n) over the
-    n where u (1+x)^(-y) - 1 has a nonzero coefficient: the round at
-    which the staged p-th-root descent would reject u.  The residual is
-    read off too: (1+x)^(-y) is the Lucas kernel on -y, read p-adically,
-    exact mod x^N because p^K >= N, so no series is inverted.
+    NotAnEndomorphism is raised with the stage of the residual
+    u (1+x)^(-y).  The residual is read off too: (1+x)^(-y) is the Lucas
+    kernel on -y, read p-adically, exact mod x^N because p^K >= N, so no
+    series is inverted.
     """
     if u.precision < 2:
         raise PrecisionExhausted("precision 1 determines no exponent digits")
@@ -251,11 +239,7 @@ class BoxVerdict:
 
     mismatch is the first box position (row-major) where f(x)f(y) and
     f(x + y + xy) disagree, or None when the full N-by-N box matches;
-    the verdict is truthy exactly in the latter case.  The box matches
-    exactly when f = (1+x)^m with m < N, which is read off the digits,
-    and row i of f(x + y + xy) is (1+y)^i D^i f(y), so a mismatch is
-    found row by row; the box itself is never built.  The scan starts at
-    row 1: row 0 compares f with a_0 f = f and always matches.
+    the verdict is truthy exactly in the latter case.
     """
 
     mismatch: tuple[int, int] | None
@@ -422,10 +406,9 @@ def _expands_to(fn: RationalFn, coeffs: np.ndarray) -> bool:
 class RationalityReport:
     """Two window-bounded views of one exponent, side by side.
 
-    integer_verdict reads the digit tail of y.  coeff_period is the
-    (preperiod, period) of the one fraction P/Q with deg Q <= R and
-    preperiod <= W that the first W + 2R coefficients of (1+x)^y admit,
-    when that fraction re-expands to all N of them; rational carries P/Q.
+    integer_verdict is the digit view of y; coeff_period is the
+    (preperiod, period) of the coefficient view's fraction P/Q, and
+    rational carries P/Q (see :func:`rationality_report` for both).
     consistent records whether the views agree: y integral exactly when
     the coefficients are those of a fraction.  A False value does not
     decide anything by itself, it flags that at least one window was too
@@ -457,11 +440,7 @@ def _coeff_view(modulus: Prime, coeffs: np.ndarray, w: int,
     by the extended Euclid; W + 2R <= N is the caller's.  Q = (1+x)^e has
     the period of :func:`_period_of`; for any other Q, a period <= R after
     a preperiod <= W on the stream is a fraction of type (W + R - 1, R)
-    equal to P/Q on W + 2R terms, so :func:`find_period` reads it off.
-    :func:`rationality_report` calls it on (1+x)^Y only where no degree
-    count rules a fit out: Y < W, whose polynomial (1+x)^Y / 1 the Euclid
-    returns before its first division, or Y >= N - R with
-    e + W + R - 1 >= N, e = p^k - Y > R."""
+    equal to P/Q on W + 2R terms, so :func:`find_period` reads it off."""
     fn = from_pade(modulus, coeffs, w + r - 1, r)
     if fn is None or not _expands_to(fn, coeffs):
         return None
@@ -541,11 +520,11 @@ def rationality_report(exponent: PadicApprox, precision: int,
     which forces e <= R.  For every other Y the extended Euclid of
     :func:`from_pade` runs on the Lucas kernel's (1+x)^Y, the polynomials
     Y < W among them.  R bounds the degree of the denominator,
-    not the period: 1/(1+x)^e has period 2p^ceil(log_p e)
-    (2^ceil(log_2 e) for p = 2), which may exceed R and even N/2; any
-    other denominator is accepted only with period at most R.  Wherever
-    :func:`detect_coeff_period` with the same bounds finds a period, the
-    report is that period and its :func:`coeffs_to_rational` fraction.
+    not the period: 1/(1+x)^e has the period of :func:`_period_of`,
+    which may exceed R and even N/2; any other denominator is accepted
+    only with period at most R.  Wherever :func:`detect_coeff_period`
+    with the same bounds finds a period, the report is that period and
+    its :func:`coeffs_to_rational` fraction.
     """
     modulus, p, n = exponent.modulus, exponent.modulus.p, precision
     k, y = _check_digit_window(exponent, n)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oneunits import (ModulusMismatch, NonUnitConstantTerm,
-                      NonzeroConstantInner, PadicApprox, Prime,
+                      NonzeroConstantInner, OneUnit, PadicApprox, Prime,
                       PrecisionExhausted, ShapeMismatch, TruncSeries,
                       pow_product)
 from oneunits.series import _pow_mod
@@ -61,6 +61,29 @@ def test_series_owns_its_coefficients():
 def test_rejects_empty():
     with pytest.raises(ValueError):
         series(2, [])
+
+
+@pytest.mark.parametrize("p", [2, 3, 65537, 2**31 - 1])
+def test_constants_come_from_the_kernel(p):
+    """1 and 1 + x equal the hand-built arrays at every precision, including
+    both sides of the kernel's first 64-entry block at p = 2, and an empty
+    or negative precision meets the constructor's own check."""
+    modulus = Prime(p)
+    for n in (1, 2, 64, 65, 70):
+        assert TruncSeries.one_plus_x(modulus, n).coeffs.tolist() == \
+            ([1, 1] + [0] * n)[:n]
+        assert OneUnit.one_plus_x(modulus, n).series == \
+            TruncSeries.one_plus_x(modulus, n)
+        for value in (1, 0, -1, p + 5, 2**40 + 3):
+            assert TruncSeries.constant(modulus, n, value).coeffs.tolist() == \
+                [value % p] + [0] * (n - 1)
+        assert TruncSeries.one_plus_x(modulus, n).pow_int(0) == \
+            TruncSeries.constant(modulus, n)
+    for n in (0, -1):
+        for build in (TruncSeries.one_plus_x, TruncSeries.constant,
+                      OneUnit.one_plus_x):
+            with pytest.raises(ValueError, match="1-d and nonempty"):
+                build(modulus, n)
 
 
 def test_coefficient_and_precision():
