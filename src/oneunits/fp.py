@@ -58,13 +58,12 @@ _ONE.flags.writeable = False
 def _block_table(p: int) -> np.ndarray:
     """T[a, b] = C(a, b) mod p for a, b < B = p^j, B the largest power of
     p <= _BLOCK: the j-fold Kronecker power of the single-digit Pascal
-    table, read-only, as uint8.
+    table, read-only, as int64 so that rows are sliced with no cast.
     """
     digit = np.array([_pascal_row(a, p, p) for a in range(p)], dtype=np.int64)
     out = digit
     while len(out) * p <= _BLOCK:
         out = np.kron(digit, out) % p
-    out = out.astype(np.uint8)
     out.flags.writeable = False
     return out
 
@@ -91,7 +90,7 @@ def _lucas_kron(m: int, n: int, p: int) -> np.ndarray:
         m, digit = divmod(m, base)
         length = min(base, -(-n // q))
         row = (np.array(_pascal_row(digit, length, p), dtype=np.int64)
-               if rows is None else rows[digit, :length].astype(np.int64))
+               if rows is None else rows[digit, :length])
         # kron of two vectors; the first row is the product so far
         out = row if q == 1 else np.multiply.outer(row, out).ravel() % p
         q *= base

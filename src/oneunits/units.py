@@ -213,23 +213,24 @@ def recover_exponent(u: OneUnit) -> PadicApprox:
     of y, so the digits with p^i < N are read off and the candidate is
     re-expanded once; only the y returned becomes a PadicApprox.  When
     the expansion differs from u, u is no power of 1+x and
-    NotAnEndomorphism is raised with the stage of the residual
-    u (1+x)^(-y).  The residual is read off too: (1+x)^(-y) is the Lucas
-    kernel on -y, read p-adically, exact mod x^N because p^K >= N, so no
-    series is inverted.
+    NotAnEndomorphism is raised with the stage: the number of levels
+    q = p^t < N in a row at which u (1+x)^(q-Y), Y = y mod q, lies in
+    F_p[[x^q]] mod x^N, exactly when the residual u (1+x)^(-y) does, as
+    (1+x)^(-y) = (1+x)^(q-Y) (1 + x^q)^((Y-y)/q - 1); no series is inverted.
     """
     if u.precision < 2:
         raise PrecisionExhausted("precision 1 determines no exponent digits")
-    digits, y, matches = _read_off(u)
+    digits, _, matches = _read_off(u)
     if matches:
         return PadicApprox(u.modulus, tuple(digits))
     p, n = u.modulus.p, u.precision
-    residual = _convolve_mod(u.series.coeffs, _lucas_kron(-y, n, p), n, p)
-    common = int(np.gcd.reduce(np.flatnonzero(residual[1:]) + 1))
-    stage = 0
-    while common % p == 0:                # v_p of the gcd is the least v_p
-        common //= p
-        stage += 1
+    stage, q = 0, p
+    while q < n:
+        e = q - _from_digits(digits[:stage + 1], p)
+        level = _convolve_mod(u.series.coeffs, _lucas_kron(e, e + 1, p), n, p)
+        if (np.flatnonzero(level) % q).any():
+            break
+        stage, q = stage + 1, q * p
     raise NotAnEndomorphism(stage)
 
 

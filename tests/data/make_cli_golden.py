@@ -108,6 +108,12 @@ ARGVS = [
     ["rationality", "-p", "3", "-N", "64", "--y", "60"],
     ["rationality", "-p", "3", "-N", "64", "--y", "7"],
     ["rationality", "-p", "3", "-N", "64", "--y", "8"],
+    # non-powers rejected past stage 0, which take one short product per
+    # level, and a large-prime stage 0, which takes none
+    ["recover", "-p", "2", "--series", "1,0,0,0,1,0,1,0"],
+    ["recover", "-p", "2", "--series", "1,0,0,0,0,0,0,0,0,0,0,0,1,0,0,0"],
+    ["check-endo", "-p", "2", "--series", "1,0,0,0,1,0,1,0", "--json"],
+    ["recover", "-p", P31, "--series", "1,5,7"],
 ]
 
 

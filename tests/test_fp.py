@@ -226,10 +226,11 @@ def test_blocked_kernel_matches_pascal(p, column):
 
 
 def test_block_tables_are_cached_read_only_and_small():
-    """A p <= 64 gets one read-only uint8 table, B^2 entries with
-    B <= 64, equal to the product of its digit entries; the bench primes
-    2, 3, 5, 7 hold 7851 bytes of tables.  A larger p caches no table,
-    and a Hasse derivative reads the same one table."""
+    """A p <= 64 gets one read-only int64 table, so rows are sliced with
+    no cast, B^2 entries with B <= 64, equal to the product of its digit
+    entries; the bench primes 2, 3, 5, 7 hold 7851 entries, 62808 bytes.
+    A larger p caches no table, and a Hasse derivative reads the same one
+    table."""
     for p in (2, 3, 5, 7, 11, 61):
         _lucas_kron(7, 100, p)
         t = _block_table(p)
@@ -239,7 +240,7 @@ def test_block_tables_are_cached_read_only_and_small():
         assert _block_table.cache_info().currsize == before
         base = block_base(p)
         assert t.shape == (base, base) and t.size <= 64**2
-        assert t.dtype == np.uint8 and not t.flags.writeable
+        assert t.dtype == np.int64 and not t.flags.writeable
         with pytest.raises(ValueError):
             t[0, 0] = 0
         digit = [_pascal_row(a, p, p) for a in range(p)]
@@ -250,7 +251,7 @@ def test_block_tables_are_cached_read_only_and_small():
                 want = want * digit[i % p][j % p] % p
                 i, j = i // p, j // p
             assert t[a, b] == want, (p, a, b)
-    assert sum(_block_table(p).nbytes for p in (2, 3, 5, 7)) == 7851
+    assert sum(_block_table(p).nbytes for p in (2, 3, 5, 7)) == 62808
     before = _block_table.cache_info().currsize
     for p in (67, 2**31 - 1):
         _lucas_kron(12345, 300, p)

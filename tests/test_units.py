@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from oneunits import (ModulusMismatch, NonUnitExponent, NotAnEndomorphism,
                       InconsistentReport, OneUnit, PadicApprox, PeriodReport,
@@ -20,6 +20,7 @@ from oneunits import (ModulusMismatch, NonUnitExponent, NotAnEndomorphism,
                       is_endomorphism_via_theorem, pow_binomial, pow_product,
                       rationality_report, recover_exponent)
 from oneunits import units
+from oneunits.series import _convolve_mod
 from oneunits.units import (_coeff_view, _frobenius_power, _integer_view,
                             _period_of, _read_off)
 from oracles import (brute_period, newton_residual_stage, order_of_x_mod,
@@ -266,7 +267,8 @@ def test_recover_agrees_with_staged_descent(p, n, data):
     _check_against_descent(p, _draw_any_coeffs(data, p, n))
 
 
-@given(st.sampled_from([2, 3, 5, 7]), st.integers(2, 130), st.data())
+@given(st.sampled_from([2, 3, 5, 7, 61, 65537]), st.integers(2, 130),
+       st.data())
 def test_stage_non_power_fails_at_stage_s(p, n, data):
     """(1+x)^y (1 + c x^(p^s k)), k prime to p, is rejected at stage s
     unless the factor is itself a power of 1+x mod x^N."""
@@ -280,8 +282,9 @@ def test_stage_non_power_fails_at_stage_s(p, n, data):
 
 @given(SMALL_OR_LARGE_PRIME, st.data())
 def test_stage_matches_the_newton_residual(pn, data):
-    """The residual u (1+x)^(-y) expanded by the Lucas kernel on -y gives
-    the stage of u times the Newton inverse of (1+x)^y."""
+    """The stage found level by level, one short product u (1+x)^(q-Y)
+    per level q = p^t, is the stage of u times the Newton inverse of
+    (1+x)^y."""
     p, n = pn
     n = max(n, 2)
     coeffs = _draw_any_coeffs(data, p, n)
@@ -291,6 +294,52 @@ def test_stage_matches_the_newton_residual(pn, data):
     except NotAnEndomorphism as exc:
         stage = exc.stage
     assert stage == newton_residual_stage(coeffs, p)
+
+
+def _stage_products(u, mp):
+    """The stage recover_exponent raises on the non-power u, and the
+    length of the second operand of each product it takes."""
+    lengths = []
+
+    def spy(a, b, n, p):
+        lengths.append(len(b))
+        return _convolve_mod(a, b, n, p)
+
+    mp.setattr(units, "_convolve_mod", spy)
+    with pytest.raises(NotAnEndomorphism) as exc:
+        recover_exponent(u)
+    return exc.value.stage, lengths
+
+
+def test_stage_takes_one_short_product_per_level(monkeypatch):
+    """A stage-0 non-power at p = 7, N = 343 takes one product, with
+    (1+x)^(7-Y) of at most p + 1 terms; 1 + x^6 at p = 3, N = 9 forms
+    no level 9 >= N; with p >= N there is no level and no product, at
+    p = 65537 and 2^31 - 1."""
+    values = pow_binomial(exp_int(7, 100, 3), 343).series.coeffs.tolist()
+    values[2] = (values[2] + 1) % 7
+    # y = 2 + 2 * 49: the one product is with (1+x)^5, of 6 terms
+    assert _stage_products(unit(7, values), monkeypatch) == (0, [6])
+    # y = 0: (1 + x^6)(1+x)^3 = 1 + x^3 + x^6 mod x^9 passes level 3
+    assert _stage_products(unit(3, [1, 0, 0, 0, 0, 0, 1, 0, 0]),
+                           monkeypatch) == (1, [4])
+    for p, n in [(65537, 100), (2**31 - 1, 2048)]:
+        values = pow_binomial(exp_int(p, 12345, 1), n).series.coeffs.tolist()
+        values[-1] = (values[-1] + 1) % p
+        assert _stage_products(unit(p, values), monkeypatch) == (0, [])
+
+
+@given(st.sampled_from([2, 3, 5, 7, 61]), st.integers(2, 130), st.data())
+def test_stage_s_takes_s_plus_one_short_products(p, n, data):
+    """A non-power of stage s takes s + 1 products, s when p^(s+1) >= N,
+    the t-th with (1+x)^(p^t - Y), at most p^t + 1 terms."""
+    coeffs, s, factor_is_power = _stage_non_power(data, p, n)
+    assume(not factor_is_power)
+    with pytest.MonkeyPatch.context() as mp:
+        stage, lengths = _stage_products(unit(p, coeffs), mp)
+    assert stage == s
+    assert len(lengths) == s + (p ** (s + 1) < n)
+    assert all(length <= p**t + 1 for t, length in enumerate(lengths, 1))
 
 
 DESCENT_GRID = ((2, 3), (2, 6), (2, 10), (3, 2), (3, 5), (3, 7), (5, 3),
