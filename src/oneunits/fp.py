@@ -42,9 +42,10 @@ class Prime:
 
 def _pascal_row(a: int, length: int, p: int) -> list[int]:
     """C(a, j) mod p for j < length <= p, a single digit a < p."""
-    out = [1] + [0] * (length - 1)
+    out, inv = [1] + [0] * (length - 1), [0, 1]     # inv[j] = 1/j mod p
     for j in range(1, min(length, a + 1)):
-        out[j] = out[j - 1] * (a - j + 1) * pow(j, -1, p) % p
+        out[j] = out[j - 1] * (a - j + 1) * inv[j] % p
+        inv.append(-(p // (j + 1)) * inv[p % (j + 1)] % p)
     return out
 
 

@@ -27,13 +27,18 @@ __all__ = ["TruncSeries"]
 
 
 def _convolve_mod(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
-    """First n coefficients of the product, reduced mod p."""
-    if (p - 1) * (p - 1) * min(len(a), len(b)) < 2**62:
-        return np.convolve(a, b)[:n] % p
-    # products past int64 (p near 2^31): one exact convolution of Python ints
-    prod = np.convolve(a[:n].astype(object), b[:n].astype(object))[:n] % p
-    out = np.zeros(n, dtype=np.int64)
-    out[:len(prod)] = prod
+    """First n coefficients of the product, reduced mod p, exact in int64.
+
+    b is split into base-2^w limbs, top limb first: a limb's sums stay below
+    (p-1) 2^w min(len a, len b) < 2^62, as does the reduced sum shifted by w
+    before the next limb.  w >= 1 requires (p-1) min(len a, len b) < 2^61.
+    For small p, b is a single limb.
+    """
+    w = 62 - ((p - 1) * min(len(a), len(b))).bit_length()
+    top = ((p - 1).bit_length() - 1) // w * w
+    out = np.convolve(a, b >> top if top else b)[:n] % p
+    for s in range(top - w, -1, -w):
+        out = ((out << w) + np.convolve(a, b >> s & (1 << w) - 1)[:n]) % p
     return out
 
 

@@ -114,6 +114,13 @@ ARGVS = [
     ["recover", "-p", "2", "--series", "1,0,0,0,0,0,0,0,0,0,0,0,1,0,0,0"],
     ["check-endo", "-p", "2", "--series", "1,0,0,0,1,0,1,0", "--json"],
     ["recover", "-p", P31, "--series", "1,5,7"],
+    # products of more than one limb at p near 2^31
+    ["pow", "-p", P31, "-N", "12", "--y", "1/3", "--method", "product"],
+    ["pow", "-p", "2147483629", "-N", "10", "--y=-2/5", "--method",
+     "product", "--json"],
+    ["hasse", "-p", P31, "--series", "1,5,7,9", "-m", "1"],
+    ["check-endo", "-p", P31, "--series", "1,5,7,9", "--method", "box"],
+    ["rationality", "-p", P31, "-N", "16", "--y", "1/3"],
 ]
 
 

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: Pascal's triangle instead of digit
-products, schoolbook convolution instead of numpy, long division for digit
+products, schoolbook convolution instead of numpy, a convolution of
+Python integers instead of int64 limbs, long division for digit
 streams, a left-to-right square-and-multiply of its own over full-length
 series or plain lists instead of the package's kernel and Frobenius
 products, a Newton inverse instead of the expansion of (1+x)^(-y), and
@@ -45,6 +46,15 @@ def naive_mul(a, b, p, n):
     for i, ai in enumerate(a[:n]):
         for j, bj in enumerate(b[: n - i]):
             out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+def object_convolve_mod(a, b, n, p):
+    """The first n coefficients of a*b mod p as int64, zero-padded to n:
+    one numpy convolution of Python integers, which cannot overflow."""
+    prod = np.convolve(a[:n].astype(object), b[:n].astype(object))[:n] % p
+    out = np.zeros(n, dtype=np.int64)
+    out[:len(prod)] = prod
     return out
 
 

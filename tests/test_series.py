@@ -11,9 +11,10 @@ from oneunits import (ModulusMismatch, NonUnitConstantTerm,
                       NonzeroConstantInner, OneUnit, PadicApprox, Prime,
                       PrecisionExhausted, ShapeMismatch, TruncSeries,
                       pow_product)
-from oneunits.series import _pow_mod
-from oracles import (block_base, frobenius, naive_mul, outer_product,
-                     pascal_binom, power_by_squaring, subst_group_law)
+from oneunits.series import _convolve_mod, _pow_mod
+from oracles import (block_base, frobenius, naive_mul, object_convolve_mod,
+                     outer_product, pascal_binom, power_by_squaring,
+                     subst_group_law)
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -130,7 +131,7 @@ def test_pow_int_rejects_negative():
 @pytest.mark.parametrize("which", ["0", "1", "2", "p-1", "p", "random"])
 def test_pow_mod_matches_left_to_right_squaring(p, which):
     """_pow_mod and pow_int give a^e mod x^len(a) at every length from 1,
-    a^0 being 1; p = 2^31 - 1 takes the exact object convolution."""
+    a^0 being 1; p = 2^31 - 1 takes two limbs per product."""
     rng = random.Random(f"{p} {which}")
     for n in range(1, 10):
         a = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
@@ -165,6 +166,59 @@ def test_mul_matches_schoolbook():
             f, g = rand_series(rng, p, n), rand_series(rng, p, n)
             want = naive_mul(f.coeffs.tolist(), g.coeffs.tolist(), p, n)
             assert (f * g).coeffs.tolist() == want
+
+
+# -- the limb convolution ----------------------------------------------------
+
+LIMB_PRIMES = [2, 3, 5, 65537, 2**31 - 1, 2147483629]
+
+
+@pytest.mark.parametrize("p", [65537, 2**31 - 1, 2147483629])
+@pytest.mark.parametrize("length", [1, 2, 4096, 32768, 32769])
+def test_convolve_mod_is_exact_at_the_largest_sums(p, length):
+    """All p-1 against all p-1 makes every partial sum the largest a limb
+    allows: coefficient k of the full product is min(k+1, 2L-1-k) (p-1)^2,
+    so min(k+1, 2L-1-k) mod p.  At p = 2^31 - 1 the lengths take 1, 2, 2,
+    2 and 3 limbs."""
+    a = np.full(length, p - 1, dtype=np.int64)
+    k = np.arange(2 * length - 1)
+    got = _convolve_mod(a, a, 2 * length - 1, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.minimum(k + 1, 2 * length - 1 - k) % p)
+
+
+def _residues(rng, p, length):
+    """Random residues, a quarter of them p - 1 (every bit of a limb set)."""
+    return np.array([p - 1 if rng.random() < 0.25 else rng.randrange(p)
+                     for _ in range(length)], dtype=np.int64)
+
+
+@given(st.sampled_from(LIMB_PRIMES), st.integers(1, 64), st.integers(1, 64),
+       st.integers(1, 140), st.integers(0, 10**6))
+def test_convolve_mod_matches_schoolbook(p, la, lb, n, seed):
+    """Unequal lengths, n below and above la + lb - 1: the values are the
+    schoolbook product's, as int64, of length min(n, la + lb - 1)."""
+    rng = random.Random(seed)
+    a, b = _residues(rng, p, la), _residues(rng, p, lb)
+    got = _convolve_mod(a, b, n, p)
+    want = naive_mul(a.tolist(), b.tolist(), p, n)
+    assert got.dtype == np.int64 and len(got) == min(n, la + lb - 1)
+    assert got.tolist() == want[:len(got)] and not any(want[len(got):])
+
+
+@pytest.mark.parametrize("p", LIMB_PRIMES)
+@pytest.mark.parametrize("la, lb, n", [(4096, 257, 4096), (300, 4096, 5000),
+                                       (1024, 1024, 1024), (1500, 2000, 4096),
+                                       (700, 900, 1000), (65, 3, 4096)])
+def test_convolve_mod_matches_the_object_convolution(p, la, lb, n):
+    """Long products agree with one convolution of Python integers, which
+    pads to n where the limbs stop at la + lb - 1."""
+    rng = random.Random(f"{p} {la} {lb} {n}")
+    a, b = _residues(rng, p, la), _residues(rng, p, lb)
+    got = _convolve_mod(a, b, n, p)
+    want = object_convolve_mod(a, b, n, p)
+    assert got.dtype == np.int64 and len(got) == min(n, la + lb - 1)
+    assert np.array_equal(got, want[:len(got)]) and not want[len(got):].any()
 
 
 def test_invert_one_plus_x_frozen():

@@ -660,7 +660,7 @@ FROBENIUS_EDGES = [
     (5, 30, [1], (3, 4, 2)),         # g = 1: len(h) = 1 at every digit
     (7, 60, [1, 3, 0, 2], (1, 2, 1)),      # d deg + 1 = 4, 7 < L = 60, 9
     (2, 12, [1, 0, 1], (1, 0, 1, 1, 1, 1, 1)),   # digits past p^4 >= N
-    (2**31 - 1, 40, [1, 5, 7], (2**31 - 2, 3)),  # object path, digit past N
+    (2**31 - 1, 40, [1, 5, 7], (2**31 - 2, 3)),  # two limbs, digit past N
 ]
 
 
