@@ -9,7 +9,7 @@ y off the coefficient of x^(p^i) and compares the Lucas kernel on y
 with u (:func:`recover_exponent`, :func:`is_endomorphism_via_theorem`),
 and the two-variable product comparison f(x)f(y) = f(x + y + xy)
 (:func:`is_endomorphism_bivariate`), decided by the same read-off and
-located row by row through Hasse derivatives.  Read-offs, the
+located at rows 1, p, p^2, ... through Hasse derivatives.  Read-offs, the
 Frobenius product and the Hasse rows work on int64 arrays; only an
 answer becomes a checked object.  On top of those sit composition,
 automorphism inversion, the Hasse-derivative identity, and the
@@ -250,14 +250,13 @@ class BoxVerdict:
 
 
 def _hasse_row(coeffs: np.ndarray, m: int, length: int, p: int) -> np.ndarray:
-    """(1+x)^m D^m f mod x^length, f the series coeffs, for m < N and
-    length <= N.
-
-    The shift (1+x)^m is cut at its degree m.
-    """
+    """Indices below length where (1+x)^m D^m f and a_m f differ, f the
+    series coeffs, m < N and length <= N; m is checked before a_m is read.
+    The shift (1+x)^m is cut at its degree m."""
     derivative = _hasse(coeffs, m, p)[:length]
     shift = _lucas_kron(m, min(length, m + 1), p)
-    return _convolve_mod(shift, derivative, length, p)
+    row = _convolve_mod(shift, derivative, length, p)
+    return np.flatnonzero(row != coeffs[:length] * int(coeffs[m]) % p)
 
 
 def is_endomorphism_bivariate(u: OneUnit) -> BoxVerdict:
@@ -269,21 +268,23 @@ def is_endomorphism_bivariate(u: OneUnit) -> BoxVerdict:
     matches exactly when b is a unit vector e_m.  That is the case
     exactly when u is a power of 1+x by read-off and the integer
     m = sum d_i p^i of its read-off digits is below N; at N = 1 the box
-    always matches.  Otherwise the first mismatch is found row by row:
-    f(y + x(1+y)) = sum_i x^i (1+y)^i D^i f(y) exactly, since f is a
-    polynomial of degree below N, and row i of f(x)f(y) is a_i f(y).
+    always matches.  Otherwise the first mismatch is at a row p^s < N:
+    f(y + x(1+y)) = sum_i x^i (1+y)^i D^i f(y) exactly, as deg f < N, and
+    row i of f(x)f(y) is a_i f(y), so row i matches exactly when
+    C(m, i) = a_i wherever b_m != 0.  C(m, p^s) is digit s of m: if rows
+    p^0 .. p^t match, all such m share digits 0 .. t, C(m, i) is one g_i
+    at each i < p^(t+1) by Lucas, and a_i = sum b_m C(m, i) = g_i a_0 = g_i.
     """
     n = u.precision
-    _, y, matches = _read_off(u)
+    digits, y, matches = _read_off(u)
     if matches and y < n:
         return BoxVerdict(None)
     coeffs, p = u.series.coeffs, u.modulus.p
-    for i in range(1, n):            # row 0 is f = a_0 f
-        differs = np.flatnonzero(
-            _hasse_row(coeffs, i, n, p) != coeffs * int(coeffs[i]) % p)
+    for i in (p**s for s in range(len(digits))):    # one row per digit
+        differs = _hasse_row(coeffs, i, n, p)
         if differs.size:
             return BoxVerdict((i, int(differs[0])))
-    raise AssertionError("a box that fails the read-off has a mismatching row")
+    raise AssertionError("a failing box mismatches at a row p^s")
 
 
 @dataclass(frozen=True)
@@ -317,10 +318,8 @@ def hasse_identity_check(u: OneUnit, m: int) -> bool:
     precision, so one failing order certifies a non-power.  An order
     outside [0, N) raises as :meth:`TruncSeries.hasse_derivative` does.
     """
-    coeffs, p, rest = u.series.coeffs, u.modulus.p, u.precision - m
-    rhs = _hasse_row(coeffs, m, rest, p)
-    lhs = coeffs[:rest] * u.coefficient(m) % p
-    return bool(np.array_equal(lhs, rhs))
+    return not _hasse_row(u.series.coeffs, m, u.precision - m,
+                          u.modulus.p).size
 
 
 def is_automorphism(u: OneUnit) -> bool:

@@ -121,6 +121,18 @@ ARGVS = [
     ["hasse", "-p", P31, "--series", "1,5,7,9", "-m", "1"],
     ["check-endo", "-p", P31, "--series", "1,5,7,9", "--method", "box"],
     ["rationality", "-p", P31, "-N", "16", "--y", "1/3"],
+    # boxes whose first mismatch is at a row p^s > 1: (1+x)^(-2) over F_2
+    # at N = 12, (1+x)^110 at p = 5, N = 30 and (1+x)^300 at p = 7, N = 60,
+    # whose read-off exponents are at least N
+    ["check-endo", "-p", "2", "--series", "1,0,1,0,1,0,1,0,1,0,1,0",
+     "--method", "box"],
+    ["check-endo", "-p", "5", "--series",
+     "1,0,0,0,0,2,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,4,0,0,0,0",
+     "--method", "box", "--json"],
+    ["check-endo", "-p", "7", "--series",
+     "1,6,1,6,1,6,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
+     "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,6,1,6,1,6,1,6,0,0,0,0",
+     "--method", "box"],
 ]
 
 

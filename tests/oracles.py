@@ -13,12 +13,14 @@ correct.
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
-from oneunits import (ModulusMismatch, PadicApprox, Prime, ShapeMismatch,
-                      TruncSeries, digits_for_precision, pow_binomial)
+from oneunits import (ModulusMismatch, PadicApprox, PeriodReport, Prime,
+                      RationalFn, ShapeMismatch, TruncSeries,
+                      digits_for_precision, from_period, pow_binomial)
+from oneunits.units import _period_of
 
 
 def block_base(p: int) -> int:
@@ -176,6 +178,51 @@ def brute_period(symbols, max_preperiod: int, max_period: int):
             if all(seq[i] == seq[i + r] for i in range(w, n - r)):
                 return (w, r)
     return None
+
+
+def binomial_rule_view(exponent, precision: int, max_preperiod: int,
+                       max_period: int):
+    """The coefficient view of rationality_report by the binomial rule,
+    as (PeriodReport, RationalFn) or None.
+
+    Y = y mod q, q the least power of p >= N, and L = W + R - 1.  The
+    least j <= R for which T = (1+x)^(Y+j) mod x^N has degree <= L gives
+    T / (1+x)^j, common factors 1+x divided out: a fraction of type
+    (L, R) that fits the stream, and the only one.  It is the view, with
+    the period of n/(1+x)^deg Q, when its preperiod
+    max(0, deg P - deg Q + 1) is at most W; otherwise there is none.  If
+    no j <= R qualifies, the view is the brute period scan's fraction,
+    when it re-expands to the stream.
+    """
+    modulus, p, n = exponent.modulus, exponent.modulus.p, precision
+    w, r = max_preperiod, max_period
+    y = exponent.value % p ** digits_for_precision(modulus, n)
+    stream = [comb(y, i) % p for i in range(n)]
+    t = stream
+    for j in range(r + 1):
+        if j:                                        # t = t (1+x) mod x^N
+            t = t[:1] + [(t[i] + t[i - 1]) % p for i in range(1, n)]
+        num = t[:max(i for i in range(n) if t[i]) + 1]
+        if len(num) <= w + r:
+            break
+    else:
+        found = brute_period(stream, w, r)
+        if found is None:
+            return None
+        fn = from_period(modulus, stream, PeriodReport(*found))
+        padded = (list(fn.numerator) + [0] * n)[:n]
+        expands = naive_mul(stream, list(fn.denominator), p, n) == padded
+        return (PeriodReport(*found), fn) if expands else None
+    while j and sum(num[::2]) % p == sum(num[1::2]) % p:   # num(-1) = 0
+        quotient = num[:1]                   # num = (1+x) quotient
+        for a in num[1:-1]:
+            quotient.append((a - quotient[-1]) % p)
+        num, j = quotient, j - 1
+    if len(num) - j > w:
+        return None
+    den = tuple(comb(j, i) % p for i in range(j + 1))
+    return (PeriodReport(max(0, len(num) - j), _period_of(j, p)),
+            RationalFn(modulus, tuple(num), den))
 
 
 def power_by_squaring(base, e: int, mul, one):

@@ -23,9 +23,9 @@ from oneunits import units
 from oneunits.series import _convolve_mod
 from oneunits.units import (_coeff_view, _frobenius_power, _integer_view,
                             _period_of, _read_off)
-from oracles import (brute_period, newton_residual_stage, order_of_x_mod,
-                     outer_product, pascal_binom, squaring_pow_product,
-                     staged_descent, subst_group_law)
+from oracles import (binomial_rule_view, brute_period, newton_residual_stage,
+                     order_of_x_mod, outer_product, pascal_binom,
+                     squaring_pow_product, staged_descent, subst_group_law)
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -444,6 +444,34 @@ def test_box_verdict_matches_the_built_box(pn, data):
 
 
 @given(SMALL_OR_LARGE_PRIME, st.data())
+def test_built_box_first_mismatch_is_at_a_row_p_to_the_s(pn, data):
+    """The built box's first mismatch lies in row 1, p, p^2, ... below N,
+    on powers (y >= N among them), perturbed powers, arbitrary one-units
+    and non-powers of every stage."""
+    p, n = pn
+    n = max(n, 2)
+    mismatch = _box_oracle(unit(p, _draw_any_coeffs(data, p, n)))
+    rows = {p**s for s in range(digits_for_precision(Prime(p), n))}
+    assert mismatch is None or mismatch[0] in rows
+
+
+def test_box_computes_at_most_one_row_per_digit(monkeypatch):
+    """(1+x)^1000 at p = 2, N = 600 first mismatches at row 32, and the
+    box computes only the rows 1, 2, 4, ..., 32 on the way there."""
+    rows, hasse_row = [], units._hasse_row
+
+    def spy(coeffs, m, length, p):
+        rows.append(m)
+        return hasse_row(coeffs, m, length, p)
+
+    monkeypatch.setattr(units, "_hasse_row", spy)
+    u = pow_binomial(exp_int(2, 1000, 10), 600)
+    assert is_endomorphism_bivariate(u).mismatch == (32, 576)
+    assert rows == [1, 2, 4, 8, 16, 32]
+    assert len(rows) <= digits_for_precision(P2, 600)
+
+
+@given(SMALL_OR_LARGE_PRIME, st.data())
 def test_built_box_passes_exactly_below_n(pn, data):
     """The built box matches iff u = (1+x)^m by read-off with m < N."""
     p, n = pn
@@ -465,8 +493,8 @@ def test_box_and_theorem_agree_exhaustively():
 
     Where N is a power of p it also agrees with the read-off recovery.
     """
-    for P, n in ((P2, 1), (P2, 4), (P2, 5), (P2, 6), (P2, 8), (P3, 1),
-                 (P3, 3), (P3, 4)):
+    for P, n in ((P2, 1), (P2, 4), (P2, 5), (P2, 6), (P2, 8), (P2, 10),
+                 (P3, 1), (P3, 3), (P3, 4), (P3, 6), (P5, 5)):
         prime_power = n > 1 and P.p ** digits_for_precision(P, n) == n
         for u in _all_units(P, n):
             verdict = is_endomorphism_bivariate(u)
@@ -1030,6 +1058,24 @@ def test_coeff_view_matches_the_pade_oracle(pn, data):
         view = _reported_view(exponent, n, w, r)
     assert view == _view(pow_binomial(exponent, n), w, r)
     assert len(euclid_calls) == _euclid_runs(q, exponent.value % q, n, w, r)
+
+
+@given(SMALL_OR_LARGE_PRIME, st.data())
+def test_report_matches_the_binomial_rule(pn, data):
+    """The report's (coeff_period, rational) is the binomial rule's view:
+    the least j <= R with (1+x)^(Y+j) mod x^N of degree below W + R gives
+    the fraction, and the period scan decides when no j does.  No code
+    relies on the rule yet; this pins the equivalence first."""
+    p, n = pn
+    n = max(n, 2)
+    exponent = _draw_power(data, p, n)
+    w = data.draw(st.integers(0, n - 2), label="W")
+    top = (n - w) // 2
+    r = data.draw(st.one_of(st.just(top), st.integers(1, top)), label="R")
+    report = rationality_report(exponent, n, w, r)
+    rule = binomial_rule_view(exponent, n, w, r)
+    assert repr((report.coeff_period, report.rational)) == \
+        repr(rule if rule is not None else (None, None))
 
 
 COEFF_VIEW_GRID = ((2, 16), (2, 12), (3, 9), (3, 7), (5, 5), (5, 8), (7, 7))
