@@ -8,11 +8,11 @@ as a Frobenius product of digit powers), recovery that reads digit i of
 y off the coefficient of x^(p^i) and compares the Lucas kernel on y
 with u (:func:`recover_exponent`, :func:`is_endomorphism_via_theorem`),
 and the two-variable product comparison f(x)f(y) = f(x + y + xy)
-(:func:`is_endomorphism_bivariate`), decided by the same read-off and
-located at rows 1, p, p^2, ... through Hasse derivatives.  Read-offs, the
-Frobenius product and the Hasse rows work on int64 arrays; only an
-answer becomes a checked object.  On top of those sit composition,
-automorphism inversion, the Hasse-derivative identity, and the
+(:func:`is_endomorphism_bivariate`), decided by the same read-off: a mismatch
+is read off where u first leaves (1+x)^y, at k0, or found at a Hasse row p^s,
+s < v_p(k0).  Read-offs, the Frobenius product and the Hasse rows work on
+int64 arrays; only an answer becomes a checked object.  On top of those sit
+composition, automorphism inversion, the Hasse-derivative identity, and the
 rationality probes that compare what the digits of y say with what the
 coefficient stream of f shows; :func:`rationality_report` argues its cases.
 """
@@ -193,8 +193,8 @@ def pow_product(exponent: PadicApprox, precision: int) -> OneUnit:
         one_plus_x, exponent.digits, modulus.p)))
 
 
-def _read_off(u: OneUnit) -> tuple[list[int], int, bool]:
-    """The digits of the y read off u, y, and whether u is (1+x)^y mod x^N.
+def _read_off(u: OneUnit) -> tuple[list[int], int, int | None]:
+    """Digits read off u, y, and where u first leaves (1+x)^y mod x^N or None.
 
     Digit i of y, p^i < N, is the coefficient of x^(p^i); digits past x^N
     are 0, and at N = 1 no coefficient is read: y is the digit 0.
@@ -203,7 +203,8 @@ def _read_off(u: OneUnit) -> tuple[list[int], int, bool]:
     digits = [int(coeffs[p**i]) if p**i < n else 0
               for i in range(digits_for_precision(u.modulus, n))]
     y = _from_digits(digits, p)
-    return digits, y, bool(np.array_equal(_lucas_kron(y, n, p), coeffs))
+    differs = np.flatnonzero(_lucas_kron(y, n, p) != coeffs)
+    return digits, y, int(differs[0]) if differs.size else None
 
 
 def recover_exponent(u: OneUnit) -> PadicApprox:
@@ -220,8 +221,8 @@ def recover_exponent(u: OneUnit) -> PadicApprox:
     """
     if u.precision < 2:
         raise PrecisionExhausted("precision 1 determines no exponent digits")
-    digits, _, matches = _read_off(u)
-    if matches:
+    digits, _, first = _read_off(u)
+    if first is None:
         return PadicApprox(u.modulus, tuple(digits))
     p, n = u.modulus.p, u.precision
     stage, q = 0, p
@@ -262,25 +263,32 @@ def _hasse_row(coeffs: np.ndarray, m: int, length: int, p: int) -> np.ndarray:
 def is_endomorphism_bivariate(u: OneUnit) -> BoxVerdict:
     """Compare f(x)f(y) with f(x + y + xy) on the full N-by-N box.
 
-    Write f = sum b_m (1+x)^m over m < N.  The products
-    (1+x)^m (1+y)^m' with m, m' < N are a basis of the box, and in it the
-    difference has coefficients b_m b_m' - [m = m'] b_m, so the box
-    matches exactly when b is a unit vector e_m.  That is the case
-    exactly when u is a power of 1+x by read-off and the integer
-    m = sum d_i p^i of its read-off digits is below N; at N = 1 the box
-    always matches.  Otherwise the first mismatch is at a row p^s < N:
-    f(y + x(1+y)) = sum_i x^i (1+y)^i D^i f(y) exactly, as deg f < N, and
-    row i of f(x)f(y) is a_i f(y), so row i matches exactly when
-    C(m, i) = a_i wherever b_m != 0.  C(m, p^s) is digit s of m: if rows
-    p^0 .. p^t match, all such m share digits 0 .. t, C(m, i) is one g_i
-    at each i < p^(t+1) by Lucas, and a_i = sum b_m C(m, i) = g_i a_0 = g_i.
+    Write f = sum b_m (1+x)^m over m < N.  The products (1+x)^m (1+y)^m',
+    m, m' < N, are a basis of the box, and in it the difference has
+    coefficients b_m b_m' - [m = m'] b_m, so the box matches exactly when b is
+    a unit vector e_m: when u is a power of 1+x by read-off and the integer
+    m = sum d_i p^i of its digits is below N.  Otherwise the first mismatch is
+    at a row p^s < N: f(y + x(1+y)) = sum_i x^i (1+y)^i D^i f(y) exactly, as
+    deg f < N, and row i of f(x)f(y) is a_i f(y), so row i matches exactly
+    when C(m, i) = a_i wherever b_m != 0.  C(m, p^s) is digit s of m: if rows
+    p^0 .. p^t match, all such m share digits 0 .. t, C(m, i) is one g_i at
+    each i < p^(t+1) by Lucas, and a_i = sum b_m C(m, i) = g_i a_0 = g_i.
+
+    E = u - K, K = (1+x)^y mod x^N, is first nonzero at k0 and 0 at each
+    p^s < N, so a_(p^s) = d_s and row i's difference is [(1+x)^i D^i K - d_s K]
+    + [(1+x)^i D^i E - d_s E]: the first bracket is 0 below N - i by the Hasse
+    identity of a truncated power, the second starts C(k0, i) E_k0 x^(k0 - i).
+    C(k0, p^v) is digit v of k0, so row p^v, v = v_p(k0), first differs
+    at k0 - p^v < N - p^v, and only rows p^s, s < v, are computed.
     """
     n = u.precision
-    digits, y, matches = _read_off(u)
-    if matches and y < n:
+    digits, y, first = _read_off(u)
+    if first is None and y < n:
         return BoxVerdict(None)
     coeffs, p = u.series.coeffs, u.modulus.p
     for i in (p**s for s in range(len(digits))):    # one row per digit
+        if first is not None and first % (i * p):   # i = p^v, v = v_p(k0)
+            return BoxVerdict((i, first - i))
         differs = _hasse_row(coeffs, i, n, p)
         if differs.size:
             return BoxVerdict((i, int(differs[0])))
@@ -341,8 +349,8 @@ def compose_unit(f: OneUnit, g: OneUnit) -> OneUnit:
     compose_unit((1+x)^a, (1+x)^b) = (1+x)^(ab).
     """
     f.series._check_compatible(g.series)
-    digits, _, matches = _read_off(f)
-    if matches:
+    digits, _, first = _read_off(f)
+    if first is None:
         return OneUnit(TruncSeries(g.modulus, _frobenius_power(
             g.series.coeffs, digits, g.modulus.p)))
     inner = np.array(g.series.coeffs, dtype=np.int64)

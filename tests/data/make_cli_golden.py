@@ -133,6 +133,15 @@ ARGVS = [
      "1,6,1,6,1,6,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
      "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,6,1,6,1,6,1,6,0,0,0,0",
      "--method", "box"],
+    # boxes read off the first index k0 where u leaves (1+x)^y: (1+x)^5
+    # with x^7 flipped (k0 = 7, row 1), 1 + x^6 at p = 3 (k0 = 6, row 3
+    # after row 1) and (1+x)^5 with x^6 flipped, where row 1 already fails
+    ["check-endo", "-p", "2", "--series", "1,1,0,0,1,1,0,1,0,0,0,0,0,0,0,0",
+     "--method", "box"],
+    ["check-endo", "-p", "3", "--series", "1,0,0,0,0,0,1,0,0", "--method",
+     "box"],
+    ["check-endo", "-p", "2", "--series", "1,1,0,0,1,1,1,0,0,0,0,0,0,0,0,0",
+     "--method", "box", "--json"],
 ]
 
 

@@ -296,6 +296,37 @@ def test_stage_matches_the_newton_residual(pn, data):
     assert stage == newton_residual_stage(coeffs, p)
 
 
+def _first_difference(coeffs, p):
+    """k0, the first index where u leaves (1+x)^y, y = sum u_(p^i) p^i
+    read off u, or None; C(y, k) is the product of Pascal's C(y_j, k_j)
+    over the base-p digits y_j of y and k_j of k."""
+    n = len(coeffs)
+    y_digits = [coeffs[p**i] for i in range(digits_for_precision(Prime(p), n))
+                if p**i < n]
+    for k in range(n):
+        c = 1
+        for j, d in enumerate(y_digits):
+            c = c * pascal_binom(d, k // p**j % p, p) % p
+        if c != coeffs[k]:
+            return k
+    return None
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(2, 130), st.data())
+def test_stage_divides_the_first_difference(p, n, data):
+    """A non-power that first leaves (1+x)^y at k0 fails at a stage s with
+    p^s | k0, so at stage 0 when p does not divide k0: level q passes only
+    when u (1+x)^(-y) - 1, which starts at k0, lies in F_p[[x^q]]."""
+    coeffs = _draw_any_coeffs(data, p, n)
+    k0 = _first_difference(coeffs, p)
+    assume(k0 is not None)
+    stage = newton_residual_stage(coeffs, p)
+    assert k0 % p ** stage == 0
+    with pytest.raises(NotAnEndomorphism) as exc:
+        recover_exponent(unit(p, coeffs))
+    assert exc.value.stage == stage
+
+
 def _stage_products(u, mp):
     """The stage recover_exponent raises on the non-power u, and the
     length of the second operand of each product it takes."""
@@ -455,20 +486,58 @@ def test_built_box_first_mismatch_is_at_a_row_p_to_the_s(pn, data):
     assert mismatch is None or mismatch[0] in rows
 
 
-def test_box_computes_at_most_one_row_per_digit(monkeypatch):
-    """(1+x)^1000 at p = 2, N = 600 first mismatches at row 32, and the
-    box computes only the rows 1, 2, 4, ..., 32 on the way there."""
+def _box_rows(u, mp):
+    """The box mismatch of u and the Hasse rows computed on the way."""
     rows, hasse_row = [], units._hasse_row
 
     def spy(coeffs, m, length, p):
         rows.append(m)
         return hasse_row(coeffs, m, length, p)
 
-    monkeypatch.setattr(units, "_hasse_row", spy)
+    mp.setattr(units, "_hasse_row", spy)
+    return is_endomorphism_bivariate(u).mismatch, rows
+
+
+def test_box_computes_at_most_one_row_per_digit(monkeypatch):
+    """(1+x)^1000 at p = 2, N = 600 first mismatches at row 32, and the
+    box computes only the rows 1, 2, 4, ..., 32 on the way there."""
     u = pow_binomial(exp_int(2, 1000, 10), 600)
-    assert is_endomorphism_bivariate(u).mismatch == (32, 576)
+    mismatch, rows = _box_rows(u, monkeypatch)
+    assert mismatch == (32, 576)
     assert rows == [1, 2, 4, 8, 16, 32]
     assert len(rows) <= digits_for_precision(P2, 600)
+
+
+def test_box_reads_off_row_p_to_the_v(monkeypatch):
+    """The box computes only rows p^s, s < v_p(k0), k0 the first index
+    where u leaves (1+x)^y: (1+x)^5 mod x^16 with x^7 flipped computes
+    none, 1 + x^6 at p = 3, N = 9 computes row 1 only, and (1+x)^5 with
+    x^6 flipped computes row 1, which already fails at column 6."""
+    def flipped(k):
+        values = pow_binomial(exp_int(2, 5, 4), 16).series.coeffs.tolist()
+        values[k] ^= 1
+        return unit(2, values)
+
+    assert _box_rows(flipped(7), monkeypatch) == ((1, 6), [])
+    assert _box_rows(unit(3, [1, 0, 0, 0, 0, 0, 1, 0, 0]),
+                     monkeypatch) == ((3, 3), [1])
+    assert _box_rows(flipped(6), monkeypatch) == ((1, 6), [1])
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(2, 60), st.data())
+def test_built_box_fails_by_row_p_to_the_v(p, n, data):
+    """A non-power that first leaves (1+x)^y at k0, v = v_p(k0), first
+    mismatches in the built box at a row <= p^v, and at row p^v in
+    column k0 - p^v; the box check names the same mismatch."""
+    coeffs = _draw_any_coeffs(data, p, n)
+    k0 = _first_difference(coeffs, p)
+    assume(k0 is not None)
+    row = math.gcd(k0, p ** n)      # p^v, as k0 < N <= p^N
+    mismatch = _box_oracle(unit(p, coeffs))
+    assert mismatch[0] <= row
+    if mismatch[0] == row:
+        assert mismatch[1] == k0 - row
+    assert is_endomorphism_bivariate(unit(p, coeffs)).mismatch == mismatch
 
 
 @given(SMALL_OR_LARGE_PRIME, st.data())
@@ -612,7 +681,7 @@ def test_compose_multiplies_exponents(pn, data):
 @pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
 def test_read_off_is_total_at_precision_one(p):
     one = unit(p, [1])
-    assert _read_off(one) == ([0], 0, True)
+    assert _read_off(one) == ([0], 0, None)
     assert compose_unit(one, one) == one
     assert is_endomorphism_bivariate(one)
     with pytest.raises(PrecisionExhausted, match="precision 1 determines"):
