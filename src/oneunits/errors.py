@@ -63,9 +63,9 @@ class InconsistentReport(OneUnitsError):
 class NotAnEndomorphism(OneUnitsError):
     """A one-unit is no power of 1+x.
 
-    ``stage`` is the least p-adic valuation v_p(n) over the n >= 1 where
-    u (1+x)^(-y) has a nonzero coefficient, y being the exponent read off
-    u: the round at which the staged p-th-root descent rejects u.
+    ``stage`` is the least v_p(n), n >= 1, with u (1+x)^(-y) nonzero at x^n,
+    y read off u: the round at which the staged p-th-root descent rejects u,
+    and the number of orders p^0, p^1, ... at which the Hasse identity holds.
     """
 
     def __init__(self, stage: int):

@@ -208,30 +208,29 @@ def _read_off(u: OneUnit) -> tuple[list[int], int, int | None]:
 
 
 def recover_exponent(u: OneUnit) -> PadicApprox:
-    """The y with u = (1+x)^y, its digits read off the coefficients.
+    """The y with u = (1+x)^y: digit i is the coefficient of x^(p^i),
+    p^i < N, by Lucas, and one re-expansion checks them; only the y
+    returned becomes a PadicApprox.  If it first leaves u at k0,
+    NotAnEndomorphism is raised with the stage t: the number of orders
+    p^0, p^1, ... at which :func:`hasse_identity_check` holds, each order
+    p^s tested only while p^(s+1) | k0 < N.
 
-    By Lucas' theorem the coefficient of x^(p^i) in (1+x)^y is digit i
-    of y, so the digits with p^i < N are read off and the candidate is
-    re-expanded once; only the y returned becomes a PadicApprox.  When
-    the expansion differs from u, u is no power of 1+x and
-    NotAnEndomorphism is raised with the stage: the number of levels
-    q = p^t < N in a row at which u (1+x)^(q-Y), Y = y mod q, lies in
-    F_p[[x^q]] mod x^N, exactly when the residual u (1+x)^(-y) does, as
-    (1+x)^(-y) = (1+x)^(q-Y) (1 + x^q)^((Y-y)/q - 1); no series is inverted.
+    Let K = (1+x)^y, R = u/K mod x^N, i = p^s, a_i = d_s; t is the least
+    v_p over the support of R - 1, which starts at k0, so p^t | k0.  If
+    s < t, R is in F_p[[x^(pi)]]: D^j R = 0 for 0 < j <= i (Lucas), so
+    D^i(KR) = (D^i K) R (Leibniz), and (1+x)^i D^i K = d_s K mod x^(N-i).
+    If s = t, R = 1 + sum r_k x^(ki), r_1 = a_i - d_s = 0, and the
+    difference K (1+x)^i D^i R, D^i R = sum k r_k x^((k-1)i), starts at
+    k* - i < N - i, k* the least index of R - 1 with v_p = t.
     """
     if u.precision < 2:
         raise PrecisionExhausted("precision 1 determines no exponent digits")
     digits, _, first = _read_off(u)
     if first is None:
         return PadicApprox(u.modulus, tuple(digits))
-    p, n = u.modulus.p, u.precision
-    stage, q = 0, p
-    while q < n:
-        e = q - _from_digits(digits[:stage + 1], p)
-        level = _convolve_mod(u.series.coeffs, _lucas_kron(e, e + 1, p), n, p)
-        if (np.flatnonzero(level) % q).any():
-            break
-        stage, q = stage + 1, q * p
+    p, stage = u.modulus.p, 0
+    while not first % p ** (stage + 1) and hasse_identity_check(u, p**stage):
+        stage += 1
     raise NotAnEndomorphism(stage)
 
 

@@ -108,8 +108,8 @@ ARGVS = [
     ["rationality", "-p", "3", "-N", "64", "--y", "60"],
     ["rationality", "-p", "3", "-N", "64", "--y", "7"],
     ["rationality", "-p", "3", "-N", "64", "--y", "8"],
-    # non-powers rejected past stage 0, which take one short product per
-    # level, and a large-prime stage 0, which takes none
+    # non-powers rejected past stage 0, and a large-prime stage 0, which
+    # computes no Hasse row
     ["recover", "-p", "2", "--series", "1,0,0,0,1,0,1,0"],
     ["recover", "-p", "2", "--series", "1,0,0,0,0,0,0,0,0,0,0,0,1,0,0,0"],
     ["check-endo", "-p", "2", "--series", "1,0,0,0,1,0,1,0", "--json"],
@@ -142,6 +142,14 @@ ARGVS = [
      "box"],
     ["check-endo", "-p", "2", "--series", "1,1,0,0,1,1,1,0,0,0,0,0,0,0,0,0",
      "--method", "box", "--json"],
+    # stages below v_p(k0), k0 the first index where u leaves (1+x)^y:
+    # 1 + x + x^12 at p = 2 (k0 = 12) fails the Hasse identity at order 1
+    # (stage 0), 1 + x^2 + x^12 at order 2 (stage 1), and 1 + x^18 + x^24
+    # at p = 3 (k0 = 18) at order 3 (stage 1)
+    ["recover", "-p", "2", "--series", "1,1,0,0,0,0,0,0,0,0,0,0,1,0,0,0"],
+    ["check-endo", "-p", "2", "--series", "1,0,1,0,0,0,0,0,0,0,0,0,1,0,0,0"],
+    ["check-endo", "-p", "3", "--series",
+     "1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,1,0,0", "--json"],
 ]
 
 

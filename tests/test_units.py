@@ -20,7 +20,6 @@ from oneunits import (ModulusMismatch, NonUnitExponent, NotAnEndomorphism,
                       is_endomorphism_via_theorem, pow_binomial, pow_product,
                       rationality_report, recover_exponent)
 from oneunits import units
-from oneunits.series import _convolve_mod
 from oneunits.units import (_coeff_view, _frobenius_power, _integer_view,
                             _period_of, _read_off)
 from oracles import (binomial_rule_view, brute_period, newton_residual_stage,
@@ -282,9 +281,8 @@ def test_stage_non_power_fails_at_stage_s(p, n, data):
 
 @given(SMALL_OR_LARGE_PRIME, st.data())
 def test_stage_matches_the_newton_residual(pn, data):
-    """The stage found level by level, one short product u (1+x)^(q-Y)
-    per level q = p^t, is the stage of u times the Newton inverse of
-    (1+x)^y."""
+    """The stage found by the Hasse identity at orders p^s is the stage
+    of u times the Newton inverse of (1+x)^y."""
     p, n = pn
     n = max(n, 2)
     coeffs = _draw_any_coeffs(data, p, n)
@@ -315,8 +313,8 @@ def _first_difference(coeffs, p):
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(2, 130), st.data())
 def test_stage_divides_the_first_difference(p, n, data):
     """A non-power that first leaves (1+x)^y at k0 fails at a stage s with
-    p^s | k0, so at stage 0 when p does not divide k0: level q passes only
-    when u (1+x)^(-y) - 1, which starts at k0, lies in F_p[[x^q]]."""
+    p^s | k0, so at stage 0 when p does not divide k0: the stage exceeds s
+    only when u (1+x)^(-y) - 1, which starts at k0, lies in F_p[[x^(p^s)]]."""
     coeffs = _draw_any_coeffs(data, p, n)
     k0 = _first_difference(coeffs, p)
     assume(k0 is not None)
@@ -327,50 +325,74 @@ def test_stage_divides_the_first_difference(p, n, data):
     assert exc.value.stage == stage
 
 
-def _stage_products(u, mp):
-    """The stage recover_exponent raises on the non-power u, and the
-    length of the second operand of each product it takes."""
-    lengths = []
-
-    def spy(a, b, n, p):
-        lengths.append(len(b))
-        return _convolve_mod(a, b, n, p)
-
-    mp.setattr(units, "_convolve_mod", spy)
+def _stage(u):
+    """The stage at which recover_exponent rejects the non-power u."""
     with pytest.raises(NotAnEndomorphism) as exc:
         recover_exponent(u)
-    return exc.value.stage, lengths
+    return exc.value.stage
 
 
-def test_stage_takes_one_short_product_per_level(monkeypatch):
-    """A stage-0 non-power at p = 7, N = 343 takes one product, with
-    (1+x)^(7-Y) of at most p + 1 terms; 1 + x^6 at p = 3, N = 9 forms
-    no level 9 >= N; with p >= N there is no level and no product, at
+def test_stage_computes_hasse_rows_only_while_p_divides_k0(monkeypatch):
+    """recover_exponent tests order p^s only while p^(s+1) | k0: (1+x)^100
+    at p = 7, N = 343 with x^2 flipped (k0 = 2) computes no row, 1 + x^6
+    at p = 3, N = 9 (k0 = 6) row 1 only, 1 + x^2 + x^12 at p = 2 (k0 = 12)
+    rows 1 and 2, which fails, and with p >= N no row is computed, at
     p = 65537 and 2^31 - 1."""
     values = pow_binomial(exp_int(7, 100, 3), 343).series.coeffs.tolist()
     values[2] = (values[2] + 1) % 7
-    # y = 2 + 2 * 49: the one product is with (1+x)^5, of 6 terms
-    assert _stage_products(unit(7, values), monkeypatch) == (0, [6])
-    # y = 0: (1 + x^6)(1+x)^3 = 1 + x^3 + x^6 mod x^9 passes level 3
-    assert _stage_products(unit(3, [1, 0, 0, 0, 0, 0, 1, 0, 0]),
-                           monkeypatch) == (1, [4])
+    assert _hasse_rows(_stage, unit(7, values), monkeypatch) == (0, [])
+    assert _hasse_rows(_stage, unit(3, [1, 0, 0, 0, 0, 0, 1, 0, 0]),
+                       monkeypatch) == (1, [1])
+    values = [1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]
+    assert _hasse_rows(_stage, unit(2, values), monkeypatch) == (1, [1, 2])
     for p, n in [(65537, 100), (2**31 - 1, 2048)]:
         values = pow_binomial(exp_int(p, 12345, 1), n).series.coeffs.tolist()
         values[-1] = (values[-1] + 1) % p
-        assert _stage_products(unit(p, values), monkeypatch) == (0, [])
+        assert _hasse_rows(_stage, unit(p, values), monkeypatch) == (0, [])
 
 
-@given(st.sampled_from([2, 3, 5, 7, 61]), st.integers(2, 130), st.data())
-def test_stage_s_takes_s_plus_one_short_products(p, n, data):
-    """A non-power of stage s takes s + 1 products, s when p^(s+1) >= N,
-    the t-th with (1+x)^(p^t - Y), at most p^t + 1 terms."""
-    coeffs, s, factor_is_power = _stage_non_power(data, p, n)
-    assume(not factor_is_power)
+@given(SMALL_OR_LARGE_PRIME, st.data())
+def test_stage_s_computes_rows_p_to_the_0_through_s(pn, data):
+    """A non-power of stage s computes the rows p^0 .. p^(s-1), which
+    pass, and p^s, which fails, exactly when p^(s+1) divides k0."""
+    p, n = pn
+    n = max(n, 2)
+    coeffs = _draw_any_coeffs(data, p, n)
+    k0 = _read_off(unit(p, coeffs))[2]
+    assume(k0 is not None)
+    s = newton_residual_stage(coeffs, p)
     with pytest.MonkeyPatch.context() as mp:
-        stage, lengths = _stage_products(unit(p, coeffs), mp)
+        stage, rows = _hasse_rows(_stage, unit(p, coeffs), mp)
     assert stage == s
-    assert len(lengths) == s + (p ** (s + 1) < n)
-    assert all(length <= p**t + 1 for t, length in enumerate(lengths, 1))
+    assert rows == [p**j for j in range(s + (k0 % p ** (s + 1) == 0))]
+
+
+@given(SMALL_OR_LARGE_PRIME, st.data())
+def test_first_failing_hasse_order_is_the_stage(pn, data):
+    """With no shortcut by k0, the least s at which the Hasse identity
+    fails at order p^s is the Newton residual's stage; on a power of
+    1+x it holds at every order p^s < N."""
+    p, n = pn
+    n = max(n, 2)
+    coeffs = _draw_any_coeffs(data, p, n)
+    u = unit(p, coeffs)
+    failing = [s for s in range(digits_for_precision(Prime(p), n))
+               if not hasse_identity_check(u, p**s)]
+    assert (failing[0] if failing else None) == \
+        newton_residual_stage(coeffs, p)
+
+
+def test_box_row_may_lie_below_p_to_the_stage():
+    """The box's rows span N columns, not N - p^s, so its first mismatch
+    may be at a row below p^stage: 1 + x + x^3 + x^4 + 2 x^6 at p = 3 and
+    1 + x + x^4 + x^5 + x^6 + x^7 + x^8 at p = 2 fail at stage 1 and in
+    box row 1."""
+    u = unit(3, [1, 1, 0, 1, 1, 0, 2])
+    assert _stage(u) == 1
+    assert is_endomorphism_bivariate(u).mismatch == (1, 6)
+    u = unit(2, [1, 1, 0, 0, 1, 1, 1, 1, 1])
+    assert _stage(u) == 1
+    assert is_endomorphism_bivariate(u).mismatch == (1, 8)
 
 
 DESCENT_GRID = ((2, 3), (2, 6), (2, 10), (3, 2), (3, 5), (3, 7), (5, 3),
@@ -486,8 +508,13 @@ def test_built_box_first_mismatch_is_at_a_row_p_to_the_s(pn, data):
     assert mismatch is None or mismatch[0] in rows
 
 
-def _box_rows(u, mp):
-    """The box mismatch of u and the Hasse rows computed on the way."""
+def _box_mismatch(u):
+    return is_endomorphism_bivariate(u).mismatch
+
+
+def _hasse_rows(verdict, u, mp):
+    """verdict(u), by the box or by recover_exponent, and the orders m of
+    the Hasse rows computed on the way."""
     rows, hasse_row = [], units._hasse_row
 
     def spy(coeffs, m, length, p):
@@ -495,14 +522,14 @@ def _box_rows(u, mp):
         return hasse_row(coeffs, m, length, p)
 
     mp.setattr(units, "_hasse_row", spy)
-    return is_endomorphism_bivariate(u).mismatch, rows
+    return verdict(u), rows
 
 
 def test_box_computes_at_most_one_row_per_digit(monkeypatch):
     """(1+x)^1000 at p = 2, N = 600 first mismatches at row 32, and the
     box computes only the rows 1, 2, 4, ..., 32 on the way there."""
     u = pow_binomial(exp_int(2, 1000, 10), 600)
-    mismatch, rows = _box_rows(u, monkeypatch)
+    mismatch, rows = _hasse_rows(_box_mismatch, u, monkeypatch)
     assert mismatch == (32, 576)
     assert rows == [1, 2, 4, 8, 16, 32]
     assert len(rows) <= digits_for_precision(P2, 600)
@@ -518,10 +545,12 @@ def test_box_reads_off_row_p_to_the_v(monkeypatch):
         values[k] ^= 1
         return unit(2, values)
 
-    assert _box_rows(flipped(7), monkeypatch) == ((1, 6), [])
-    assert _box_rows(unit(3, [1, 0, 0, 0, 0, 0, 1, 0, 0]),
-                     monkeypatch) == ((3, 3), [1])
-    assert _box_rows(flipped(6), monkeypatch) == ((1, 6), [1])
+    assert _hasse_rows(_box_mismatch, flipped(7),
+                       monkeypatch) == ((1, 6), [])
+    assert _hasse_rows(_box_mismatch, unit(3, [1, 0, 0, 0, 0, 0, 1, 0, 0]),
+                       monkeypatch) == ((3, 3), [1])
+    assert _hasse_rows(_box_mismatch, flipped(6),
+                       monkeypatch) == ((1, 6), [1])
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(2, 60), st.data())
