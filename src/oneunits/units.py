@@ -35,7 +35,7 @@ from .errors import (
 from .fp import Prime, _lucas_kron
 from .padic import IntegerVerdict, PadicApprox, _from_digits
 from .periodic import PeriodReport, find_period
-from .ratfn import RationalFn, _padded, from_pade, from_period
+from .ratfn import RationalFn, _padded, from_period
 from .series import TruncSeries, _convolve_mod, _hasse, _pow_mod
 
 __all__ = [
@@ -441,24 +441,23 @@ def _period_of(e: int, p: int) -> int:
     return q if p == 2 or e == 0 else 2 * q
 
 
-def _coeff_view(modulus: Prime, coeffs: np.ndarray, w: int,
-                r: int) -> tuple[PeriodReport, RationalFn] | None:
-    """The coefficient view of :func:`rationality_report` on a stream,
-    by the extended Euclid; W + 2R <= N is the caller's.  Q = (1+x)^e has
-    the period of :func:`_period_of`; for any other Q, a period <= R after
-    a preperiod <= W on the stream is a fraction of type (W + R - 1, R)
-    equal to P/Q on W + 2R terms, so :func:`find_period` reads it off."""
-    fn = from_pade(modulus, coeffs, w + r - 1, r)
-    if fn is None or not _expands_to(fn, coeffs):
-        return None
-    preperiod = max(0, len(fn.numerator) - len(fn.denominator) + 1)
-    if preperiod > w:
-        return None
-    e, p = len(fn.denominator) - 1, modulus.p
-    if list(fn.denominator) == _lucas_kron(e, e + 1, p).tolist():
-        return PeriodReport(preperiod, _period_of(e, p)), fn
-    report = find_period(coeffs, w, r)
-    return None if report is None else (report, fn)
+def _least_power(y: int, q: int, n: int, top: int, r: int,
+                 p: int) -> tuple[int, int] | None:
+    """The least j <= R with T = (1+x)^(Y+j) mod x^N of degree d <= top,
+    and d, or None; Y + R < q = p^k >= N.  By Lucas, d is the largest
+    index below N with each base-p digit under m = Y + j's: it follows the
+    digits of N - 1 to the first where m's is smaller, then m's, all j at once.
+    """
+    if y <= top:
+        return 0, y
+    m, c = y + np.arange(r + 1, dtype=np.int64), n - 1
+    degree = np.full(r + 1, c, dtype=np.int64)  # c while on N - 1's digits
+    while q > 1:
+        q //= p
+        drop = (degree == c) & (m // q % p < c // q % p)
+        degree[drop] = c - c % (q * p) + m[drop] % (q * p)
+    hits = np.flatnonzero(degree <= top)
+    return (int(hits[0]), int(degree[hits[0]])) if hits.size else None
 
 
 # a fraction a/b, b > 1, overrules a tail-rule integer y when
@@ -509,29 +508,28 @@ def rationality_report(exponent: PadicApprox, precision: int,
     digits of 205), and the report picks the shorter description; an
     integer with 2 y^2 <= p^K is its own reconstruction and stands.
 
-    The coefficient view reconstructs the fraction of type
-    (deg P < W + R, deg Q <= R) from the first W + 2R of the N
-    coefficients, W = max_preperiod and R = max_period (each N // 8 by
-    default), and accepts it when it re-expands to all N and its
-    preperiod max(0, deg P - deg Q + 1) is at most W.  At most one such
-    fraction fits W + 2R coefficients, so WindowTooSmall is raised when
-    W + 2R > N.  Y = y mod q, q = p^k the least power >= N, is read once
-    off the first k digits of y; the fraction 1/(1+x)^e, e = q - Y,
-    needs no search when e <= R: (1+x)^Y (1+x)^e = 1 + x^q = 1 mod x^N,
-    and it is the reduced fraction of that type.  For e > R a degree
-    count rules out every fit P/Q, Q (1+x)^Y = P mod x^N, in two ranges,
-    and the view is None with no search.  If Y + R < N, then
-    Q (1+x)^Y = P as polynomials, so the only fit is (1+x)^Y / 1, whose
-    preperiod Y + 1 exceeds W once Y >= W.  If e + W + R - 1 < N, then
-    P (1+x)^e = Q as polynomials, since (1+x)^Y (1+x)^e = 1 mod x^N,
-    which forces e <= R.  For every other Y the extended Euclid of
-    :func:`from_pade` runs on the Lucas kernel's (1+x)^Y, the polynomials
-    Y < W among them.  R bounds the degree of the denominator,
-    not the period: 1/(1+x)^e has the period of :func:`_period_of`,
-    which may exceed R and even N/2; any other denominator is accepted
-    only with period at most R.  Wherever :func:`detect_coeff_period`
-    with the same bounds finds a period, the report is that period and
-    its :func:`coeffs_to_rational` fraction.
+    The coefficient view is the fraction P/Q of type (deg P <= L,
+    deg Q <= R), L = W + R - 1, W = max_preperiod and R = max_period
+    (each N // 8 by default), that expands to the N coefficients, if its
+    preperiod max(0, deg P - deg Q + 1) is at most W.  Two such agreeing
+    on W + 2R terms are equal, so W + 2R > N raises WindowTooSmall.
+    Y = y mod q, q = p^k the least power >= N, is read off the first k
+    digits of y; the stream is (1+x)^Y mod x^N.  If e = q - Y <= R, the
+    fit is 1/(1+x)^e, as (1+x)^q = 1 mod x^N.  For e > R, degrees rule
+    out a fit in two ranges: if Y + R < N, Q (1+x)^Y = P as polynomials,
+    so the only fit (1+x)^Y / 1 has preperiod Y + 1 > W once Y >= W; if
+    e + W + R - 1 < N, P (1+x)^e = Q as polynomials, forcing e <= R.
+    Otherwise a fit with Q = (1+x)^j is T / (1+x)^j, T = (1+x)^(Y+j)
+    mod x^N of degree <= L: each such j <= R gives the fit, and the least
+    has T prime to 1+x, as T / (1+x) would serve j - 1.  Lucas reads
+    deg T off the digits of Y + j (:func:`_least_power`); Y < W is j = 0.
+    If no j qualifies, a fit has another Q and is accepted only with
+    period <= R: :func:`find_period` finds it, and :func:`from_period`
+    the fraction, checked against all N terms.  R bounds deg Q, not the
+    period: (1+x)^j has the period of :func:`_period_of`, which may
+    exceed R and even N/2.  Wherever :func:`detect_coeff_period` with
+    the same bounds finds a period, the report is that period and its
+    :func:`coeffs_to_rational` fraction.
     """
     modulus, p, n = exponent.modulus, exponent.modulus.p, precision
     k, y = _check_digit_window(exponent, n)
@@ -543,21 +541,23 @@ def rationality_report(exponent: PadicApprox, precision: int,
         raise WindowTooSmall(
             f"window of {n} coefficients cannot settle a fraction with "
             f"preperiod {w} and denominator degree {r}: that needs {w + 2 * r}")
-    e = p ** k - y
-    if e <= r:
-        view = (PeriodReport(0, _period_of(e, p)),
-                RationalFn(modulus, (1,), _lucas_kron(e, e + 1, p)))
-    elif w <= y < n - r or e + w + r - 1 < n:
-        view = None
-    else:
-        view = _coeff_view(modulus, _lucas_kron(y, n, p), w, r)
-    report, fn = view if view is not None else (None, None)
-    return RationalityReport(
-        integer_verdict=verdict,
-        coeff_period=report,
-        rational=fn,
-        consistent=verdict.is_integer == (report is not None),
-    )
+    e, report, fn = p ** k - y, None, None
+    found = (e, 0) if e <= r else None      # j = e: T = 1 + x^q = 1 mod x^N
+    if e > r and not (w <= y < n - r or e + w + r - 1 < n):
+        found = _least_power(y, p ** k, n, w + r - 1, r, p)
+        if found is None:
+            coeffs = _lucas_kron(y, n, p)
+            report = find_period(coeffs, w, r)
+            fn = report and from_period(modulus, coeffs, report)
+            if fn and not _expands_to(fn, coeffs):
+                report = fn = None
+    if found is not None and found[1] - found[0] < w:   # deg T - j + 1 <= W
+        j, degree = found
+        report = PeriodReport(max(0, degree - j + 1), _period_of(j, p))
+        fn = RationalFn(modulus, _lucas_kron(y + j, degree + 1, p),
+                        _lucas_kron(j, j + 1, p))
+    return RationalityReport(verdict, report, fn,
+                             verdict.is_integer == (report is not None))
 
 
 def enumerate_endomorphisms(modulus: Prime, precision: int) -> list[OneUnit]:

@@ -5,8 +5,9 @@ products, schoolbook convolution instead of numpy, a convolution of
 Python integers instead of int64 limbs, long division for digit
 streams, a left-to-right square-and-multiply of its own over full-length
 series or plain lists instead of the package's kernel and Frobenius
-products, a Newton inverse instead of the expansion of (1+x)^(-y), and
-the built N-by-N box instead of its read-off.  Slow but obviously
+products, a Newton inverse instead of the expansion of (1+x)^(-y), the
+built N-by-N box instead of its read-off, and the extended Euclid
+instead of the binomial rule of the rationality view.  Slow but obviously
 correct.
 """
 
@@ -20,6 +21,7 @@ import numpy as np
 from oneunits import (ModulusMismatch, PadicApprox, PeriodReport, Prime,
                       RationalFn, ShapeMismatch, TruncSeries,
                       digits_for_precision, from_period, pow_binomial)
+from oneunits.ratfn import from_pade
 from oneunits.units import _period_of
 
 
@@ -178,6 +180,33 @@ def brute_period(symbols, max_preperiod: int, max_period: int):
             if all(seq[i] == seq[i + r] for i in range(w, n - r)):
                 return (w, r)
     return None
+
+
+def euclid_coeff_view(modulus, coeffs, w: int, r: int):
+    """The coefficient view of rationality_report on a stream by the
+    extended Euclid, as (PeriodReport, RationalFn) or None; W + 2R <= N.
+
+    from_pade reconstructs the one fraction of type (W + R - 1, R) that
+    the first W + 2R terms allow; it is the view when it re-expands to all
+    N terms and its preperiod max(0, deg P - deg Q + 1) is at most W.
+    Q = (1+x)^e has the period of _period_of; for any other Q, a period
+    <= R after a preperiod <= W on the stream is a fraction of that type
+    equal to P/Q, so the brute period scan reads it off.
+    """
+    p, n = modulus.p, len(coeffs)
+    stream = [int(c) for c in coeffs]
+    fn = from_pade(modulus, stream, w + r - 1, r)
+    if fn is None or naive_mul(stream, list(fn.denominator), p, n) != \
+            (list(fn.numerator) + [0] * n)[:n]:
+        return None
+    preperiod = max(0, len(fn.numerator) - len(fn.denominator) + 1)
+    if preperiod > w:
+        return None
+    e = len(fn.denominator) - 1
+    if fn.denominator == tuple(comb(e, i) % p for i in range(e + 1)):
+        return PeriodReport(preperiod, _period_of(e, p)), fn
+    found = brute_period(stream, w, r)
+    return None if found is None else (PeriodReport(*found), fn)
 
 
 def binomial_rule_view(exponent, precision: int, max_preperiod: int,

@@ -15,16 +15,19 @@ from oneunits import (ModulusMismatch, NonUnitExponent, NotAnEndomorphism,
                       TooLargeToEnumerate, TruncSeries, WindowTooSmall,
                       coeffs_to_rational, compose_unit, detect_coeff_period,
                       digits_for_precision, enumerate_endomorphisms,
-                      from_period, hasse_identity_check, invert_automorphism,
-                      is_automorphism, is_endomorphism_bivariate,
+                      find_period, from_period, hasse_identity_check,
+                      invert_automorphism, is_automorphism,
+                      is_endomorphism_bivariate,
                       is_endomorphism_via_theorem, pow_binomial, pow_product,
                       rationality_report, recover_exponent)
-from oneunits import units
-from oneunits.units import (_coeff_view, _frobenius_power, _integer_view,
-                            _period_of, _read_off)
-from oracles import (binomial_rule_view, brute_period, newton_residual_stage,
-                     order_of_x_mod, outer_product, pascal_binom,
-                     squaring_pow_product, staged_descent, subst_group_law)
+from oneunits import ratfn, units
+from oneunits.ratfn import from_pade
+from oneunits.units import (_frobenius_power, _integer_view, _period_of,
+                            _read_off)
+from oracles import (binomial_rule_view, brute_period, euclid_coeff_view,
+                     newton_residual_stage, order_of_x_mod, outer_product,
+                     pascal_binom, squaring_pow_product, staged_descent,
+                     subst_group_law)
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -1023,8 +1026,8 @@ def test_period_of_is_the_order_of_x(p, e):
 
 
 def _view(u, w, r):
-    """The coefficient view of the one-unit u's stream."""
-    return _coeff_view(u.modulus, u.series.coeffs, w, r)
+    """The Euclid reference's coefficient view of the one-unit u's stream."""
+    return euclid_coeff_view(u.modulus, u.series.coeffs, w, r)
 
 
 @given(st.sampled_from([2, 3, 5, 7, 65537, 2**31 - 1]), st.data())
@@ -1114,62 +1117,111 @@ def _reported_view(exponent, n, w, r):
     return report.coeff_period, report.rational
 
 
-def _spy_coeff_view(monkeypatch):
-    """Record each stream that rationality_report hands to the Euclid."""
-    calls = []
+def _spy_scans(monkeypatch):
+    """Count rationality_report's period scans, and its from_pade runs
+    inside and outside from_period."""
+    calls = {"scan": 0, "pade in from_period": 0, "pade elsewhere": 0}
+    inside = []
 
-    def recording_view(modulus, coeffs, w, r):
-        calls.append(coeffs)
-        return _coeff_view(modulus, coeffs, w, r)
+    def scan(*args):
+        calls["scan"] += 1
+        return find_period(*args)
 
-    monkeypatch.setattr(units, "_coeff_view", recording_view)
+    def period(*args):
+        inside.append(True)
+        try:
+            return from_period(*args)
+        finally:
+            inside.pop()
+
+    def pade(*args):
+        calls["pade in from_period" if inside else "pade elsewhere"] += 1
+        return from_pade(*args)
+
+    monkeypatch.setattr(units, "find_period", scan)
+    monkeypatch.setattr(units, "from_period", period)
+    monkeypatch.setattr(ratfn, "from_pade", pade)
     return calls
 
 
-def _euclid_runs(q, y, n, w, r):
-    """The Euclid runs on (1+x)^Y, e = q - Y, exactly when e > R (else
-    1/(1+x)^e is read off), Y is outside [W, N - R) (inside, the only fit
-    (1+x)^Y / 1 has preperiod Y + 1 > W) and e + W + R - 1 >= N (below,
-    a fit forces P (1+x)^e = Q, so e <= R)."""
+def _scan_runs(p, q, y, n, w, r):
+    """The period scan runs on (1+x)^Y, e = q - Y, exactly when
+    1/(1+x)^e is not read off (e > R), Y lies in neither no-fit range
+    (W <= Y < N - R, or e + W + R - 1 < N) and no j <= R leaves
+    T = (1+x)^(Y+j) mod x^N of degree below W + R; T is built by Pascal's
+    rule here, one j after the other."""
     e = q - y
-    return e > r and not w <= y < n - r and e + w + r - 1 >= n
+    if e <= r or w <= y < n - r or e + w + r - 1 < n:
+        return False
+    t = [math.comb(y, i) % p for i in range(n)]
+    for _ in range(r + 1):
+        if max(i for i in range(n) if t[i]) < w + r:
+            return False
+        t = t[:1] + [(t[i] + t[i - 1]) % p for i in range(1, n)]
+    return True
+
+
+def _assert_scans(calls, scans):
+    """The scan ran scans times, from_pade only inside from_period, and
+    from_period only on a scan's report."""
+    assert calls["scan"] == scans
+    assert calls["pade elsewhere"] == 0
+    assert calls["pade in from_period"] <= scans
+
+
+def _draw_window(data, n):
+    """W and R with W + 2R <= N, half of them tight (W + 2R = N - 1 or N)."""
+    w = data.draw(st.integers(0, n - 2), label="W")
+    top = (n - w) // 2
+    r = data.draw(st.one_of(st.just(top), st.integers(1, top)), label="R")
+    return w, r
 
 
 @given(SMALL_OR_LARGE_PRIME, st.data())
 def test_coeff_view_matches_the_pade_oracle(pn, data):
-    """The report's coefficient view is the extended Euclid's on (1+x)^y,
-    whether 1/(1+x)^(q-Y) is read off, no fraction can fit, or the
-    Euclid runs, and the Euclid runs by :func:`_euclid_runs`, at small
-    p and at p = 65537 and 2^31 - 1.
-
-    Windows W + 2R <= N, half of them tight (W + 2R = N - 1 or N).
-    """
+    """The report's coefficient view is the Euclid reference's on
+    (1+x)^y, whether 1/(1+x)^(q-Y) is read off, no fraction can fit, the
+    binomial rule reads the fraction off or the period scan decides, at
+    small p and at p = 65537 and 2^31 - 1.  The scan runs by
+    :func:`_scan_runs`, and from_pade only inside from_period."""
     p, n = pn
     n = max(n, 2)
     q = p ** digits_for_precision(Prime(p), n)
     exponent = _draw_power(data, p, n)
-    w = data.draw(st.integers(0, n - 2), label="W")
-    top = (n - w) // 2
-    r = data.draw(st.one_of(st.just(top), st.integers(1, top)), label="R")
+    w, r = _draw_window(data, n)
     with pytest.MonkeyPatch.context() as mp:
-        euclid_calls = _spy_coeff_view(mp)
+        calls = _spy_scans(mp)
         view = _reported_view(exponent, n, w, r)
     assert view == _view(pow_binomial(exponent, n), w, r)
-    assert len(euclid_calls) == _euclid_runs(q, exponent.value % q, n, w, r)
+    _assert_scans(calls, _scan_runs(p, q, exponent.value % q, n, w, r))
+
+
+@given(SMALL_OR_LARGE_PRIME, st.data())
+def test_report_matches_the_euclid_reference(pn, data):
+    """The report's (coeff_period, rational) is, in repr, the view that
+    the extended Euclid of :func:`oracles.euclid_coeff_view` finds on the
+    N coefficients of (1+x)^y, for tight and loose windows alike."""
+    p, n = pn
+    n = max(n, 2)
+    exponent = _draw_power(data, p, n)
+    w, r = _draw_window(data, n)
+    report = rationality_report(exponent, n, w, r)
+    reference = _view(pow_binomial(exponent, n), w, r)
+    assert repr((report.coeff_period, report.rational)) == \
+        repr(reference if reference is not None else (None, None))
 
 
 @given(SMALL_OR_LARGE_PRIME, st.data())
 def test_report_matches_the_binomial_rule(pn, data):
     """The report's (coeff_period, rational) is the binomial rule's view:
     the least j <= R with (1+x)^(Y+j) mod x^N of degree below W + R gives
-    the fraction, and the period scan decides when no j does.  No code
-    relies on the rule yet; this pins the equivalence first."""
+    the fraction, and the period scan decides when no j does.  The
+    report reads the degree off digits and divides nothing out; the
+    oracle builds each (1+x)^(Y+j) and divides out common factors 1+x."""
     p, n = pn
     n = max(n, 2)
     exponent = _draw_power(data, p, n)
-    w = data.draw(st.integers(0, n - 2), label="W")
-    top = (n - w) // 2
-    r = data.draw(st.one_of(st.just(top), st.integers(1, top)), label="R")
+    w, r = _draw_window(data, n)
     report = rationality_report(exponent, n, w, r)
     rule = binomial_rule_view(exponent, n, w, r)
     assert repr((report.coeff_period, report.rational)) == \
@@ -1181,8 +1233,9 @@ COEFF_VIEW_GRID = ((2, 16), (2, 12), (3, 9), (3, 7), (5, 5), (5, 8), (7, 7))
 
 def test_coeff_view_matches_the_pade_oracle_exhaustively(monkeypatch):
     """Every Y < q and every window W + 2R <= N, at small p and N: the
-    view is the Euclid's and the Euclid runs by :func:`_euclid_runs`."""
-    euclid_calls = _spy_coeff_view(monkeypatch)
+    view is the Euclid reference's, and the period scan runs by
+    :func:`_scan_runs`."""
+    calls = _spy_scans(monkeypatch)
     for p, n in COEFF_VIEW_GRID:
         k = digits_for_precision(Prime(p), n)
         for y in range(p ** k):
@@ -1190,11 +1243,10 @@ def test_coeff_view_matches_the_pade_oracle_exhaustively(monkeypatch):
             u = pow_binomial(exponent, n)
             for w in range(n - 1):
                 for r in range(1, (n - w) // 2 + 1):
-                    euclid_calls.clear()
+                    calls.update(dict.fromkeys(calls, 0))
                     assert _reported_view(exponent, n, w, r) == \
                         _view(u, w, r), (p, n, y, w, r)
-                    assert len(euclid_calls) == \
-                        _euclid_runs(p ** k, y, n, w, r), (p, n, y, w, r)
+                    _assert_scans(calls, _scan_runs(p, p ** k, y, n, w, r))
 
 
 @pytest.mark.parametrize("p, n, w, r", [(3, 256, 32, 112), (5, 256, 32, 112),
@@ -1202,46 +1254,87 @@ def test_coeff_view_matches_the_pade_oracle_exhaustively(monkeypatch):
                                         (5, 30, 2, 14)])
 def test_power_fraction_reads_exactly_the_type_range(p, n, w, r, monkeypatch):
     """1/(1+x)^(q-Y) is read off for 1 <= q - Y <= R and for no other Y;
-    the view is None with no Euclid for W <= Y < N - R and for
+    the view is None with no search for W <= Y < N - R and for
     q - Y + W + R - 1 < N, and every other stream, the polynomials
-    (1+x)^Y with Y < W included, goes to the Euclid.  The first two
-    windows are criterion 7's; Y = W is the first of the middle range,
-    and q - Y = N - W - R the last of the upper one (read off when
+    (1+x)^Y with Y < W included, goes to the binomial rule, with a period
+    scan only where no j <= R qualifies.  The first two windows are
+    criterion 7's; Y = W is the first of the middle range, and
+    q - Y = N - W - R the last of the upper one (read off when
     W + 2R = N)."""
     k = digits_for_precision(Prime(p), n)
     q = p ** k
-    euclid_calls = _spy_coeff_view(monkeypatch)
+    calls = _spy_scans(monkeypatch)
     for e in (r + 1, r, 1, q, q - 1, q - w - r + 1, q - w - r, q - w,
               n - w - r):
         exponent = exp_int(p, q - e, k)
-        euclid_calls.clear()
+        calls.update(dict.fromkeys(calls, 0))
         report = rationality_report(exponent, n, w, r)
         if 1 <= e <= r:
-            assert not euclid_calls
             power = pow_binomial(exp_int(p, e, k), e + 1)
             den = tuple(power.series.coeffs.tolist())
             assert report.rational == RationalFn(Prime(p), (1,), den)
             assert report.coeff_period == \
                 PeriodReport(0, _period_of(e, p))
-        else:
-            assert len(euclid_calls) == _euclid_runs(q, q - e, n, w, r)
+        _assert_scans(calls, _scan_runs(p, q, q - e, n, w, r))
         assert _reported_view(exponent, n, w, r) == \
             _view(pow_binomial(exponent, n), w, r)
 
 
-def test_coeff_view_falls_back_to_the_euclid(monkeypatch):
+def test_coeff_view_divides_by_the_least_power(monkeypatch):
     """(1+x)^9 over F_2 at N = 12, W = 6, R = 3 is no inverse power:
-    q - 9 = 7 > R, 9 >= N - R and 7 + W + R - 1 >= N, so the Euclid runs
-    and finds (1 + x^4 + x^8) / (1 + x)^3, of preperiod 6 and period 4.
-    """
-    euclid_calls = _spy_coeff_view(monkeypatch)
+    q - 9 = 7 > R, 9 >= N - R and 7 + W + R - 1 >= N.  (1+x)^(9+j) mod
+    x^12 has degree 9, 10, 11 and 8 for j = 0..3, above W + R - 1 = 8
+    until j = 3, which gives (1 + x^4 + x^8) / (1+x)^3, of preperiod 6
+    and period 4, with no period scan and no Euclid."""
+    calls = _spy_scans(monkeypatch)
     exponent = exp_int(2, 9, 4)
     report = rationality_report(exponent, 12, 6, 3)
-    assert len(euclid_calls) == 1
+    _assert_scans(calls, 0)
     fn = RationalFn(P2, (1, 0, 0, 0, 1, 0, 0, 0, 1), (1, 1, 1, 1))
     assert (report.coeff_period, report.rational) == (PeriodReport(6, 4), fn)
     assert _view(pow_binomial(exponent, 12), 6, 3) == \
         (PeriodReport(6, 4), fn)
+
+
+def test_coeff_view_falls_back_to_the_period_scan(monkeypatch):
+    """(1+x)^3 = 1 + x^3 over F_3 at N = 6, W = 0, R = 3: q - 3 = 6 > R,
+    3 >= N - R and 6 + W + R - 1 >= N, and (1+x)^(3+j) mod x^6 has degree
+    3, 4, 5 and 3 for j = 0..3, above W + R - 1 = 2.  So the period scan
+    runs once and finds period 3, and from_period the fraction
+    1/(1 + 2x^3)."""
+    calls = _spy_scans(monkeypatch)
+    exponent = exp_int(3, 3, 3)
+    report = rationality_report(exponent, 6, 0, 3)
+    assert calls == {"scan": 1, "pade in from_period": 1, "pade elsewhere": 0}
+    fn = RationalFn(P3, (1,), (1, 0, 0, 2))
+    assert (report.coeff_period, report.rational) == (PeriodReport(0, 3), fn)
+    assert _view(pow_binomial(exponent, 6), 0, 3) == (PeriodReport(0, 3), fn)
+
+
+def test_expand_rational_queries_run_no_euclid(monkeypatch):
+    """The 208 rationality queries of the expand-rational workload,
+    criterion 7's 183 integers (N = 256, W = 32, R = 112) and criterion
+    8's fractions at N = 512, W = R = 64 and five digit counts, are all
+    decided by a read-off, a no-fit range or j = 0: ratfn's extended
+    Euclid never runs, not even to check a fraction's coprimality."""
+    euclid_runs, euclid_reference = [], ratfn._euclid
+
+    def euclid(*args):
+        euclid_runs.append(args)
+        return euclid_reference(*args)
+
+    monkeypatch.setattr(ratfn, "_euclid", euclid)
+    for p in (2, 3, 5):
+        for y in range(-30, 31):
+            rationality_report(exp_int(p, y, 16), 256, 32, 112)
+    for p, y in ((2, Fraction(1, 3)), (2, Fraction(1, 5)),
+                 (2, Fraction(-1, 7)), (3, Fraction(1, 5)),
+                 (3, Fraction(-1, 7))):
+        k0 = digits_for_precision(Prime(p), 512)
+        for k in range(k0, k0 + 5):
+            exponent = PadicApprox.from_fraction(Prime(p), y, k)
+            rationality_report(exponent, 512, 64, 64)
+    assert euclid_runs == []
 
 
 @pytest.mark.parametrize("y, k", [(Fraction(1, 5), 10), (Fraction(1, 5), 12),
